@@ -118,12 +118,14 @@ def effect_from_matrix(m) -> BlochEffect:
     :func:`effect_to_matrix` is the identity to better than 1e-12 per entry.
 
     Raises:
-        InvalidEffectError: for non-Hermitian input or an eigenvalue outside
-            the operator bounds.
+        InvalidEffectError: for a non-finite entry, non-Hermitian input or an
+            eigenvalue outside the operator bounds.
     """
     mat = np.asarray(m, dtype=complex)
     if mat.shape != (2, 2):
         raise InvalidEffectError(f"expected a 2x2 matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise InvalidEffectError("matrix entries must be finite")
     herm_defect = float(np.abs(mat - mat.conj().T).max())
     if herm_defect > HERMITICITY_TOL:
         raise InvalidEffectError(
@@ -147,15 +149,17 @@ def sharpness_scalar(alpha: float, a: float) -> float:
 
     Returns a value in [0, 1]: 1 exactly for non-trivial projections
     (alpha = a = 1), 0 exactly for trivial effects (a = 0).  The square-root
-    argument is a product of differences of near-equal squares close to
-    a = alpha, so tiny negatives are clamped to zero.
+    argument is a product of differences of squares, each factored as
+    (x - a)(x + a) so that it keeps its digits near a = alpha; tiny
+    negatives are clamped to zero.
     """
     if a == 0.0:
         return 0.0
-    arg = (alpha * alpha - a * a) * ((2.0 - alpha) ** 2 - a * a)
+    c = 2.0 - alpha
+    arg = ((alpha - a) * (alpha + a)) * ((c - a) * (c + a))
     if arg < -1e-10:
         raise InvalidEffectError(f"sharpness arguments out of range: alpha={alpha!r}, a={a!r}")
-    s = 0.5 * (a * a + alpha * (2.0 - alpha) - math.sqrt(max(arg, 0.0)))
+    s = 0.5 * (a * a + alpha * c - math.sqrt(max(arg, 0.0)))
     if -1e-12 <= s < 0.0:
         return 0.0
     if 1.0 < s <= 1.0 + 1e-12:

@@ -2,7 +2,7 @@
 
 Output is deterministic: stable key order, floats at 15 significant digits.
 Exit codes: 0 coexistent / suite pass, 1 not coexistent / suite fail,
-2 usage or input error.
+2 usage or input error, 3 internal failure.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .witness import assemble_observable, find_witness, operator_inequalities_ho
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 # Parameter sets (alpha, a, beta) for the four stock boundary figures.
 PRESETS = {
@@ -295,6 +296,10 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a failure inside the library must not read as a verdict
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -44,6 +44,8 @@ ARC_CURVE = "curve"
 # allowed region is closed, so equalities count as coexistent.
 BOUNDARY_TOL = 1e-12
 _DOMAIN_TOL = 1e-12
+# boundary_curve evaluates by_max once per sample in Python.
+_MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,10 @@ def boundary_curve(
     The junction points b0 +/- w are always inserted exactly when they fall
     inside the sampling range, so continuity across them is observable in
     the output.
+
+    Raises:
+        ValueError: for parameters outside their ranges, or ``n_samples``
+            outside [16, 100 000].
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
@@ -174,8 +180,10 @@ def boundary_curve(
         raise ValueError(f"beta must be in (0, 1], got {beta!r}")
     if not 0.0 <= a <= alpha + _DOMAIN_TOL:
         raise ValueError(f"a must be in [0, alpha], got a={a!r}, alpha={alpha!r}")
-    if n_samples < 16:
-        raise ValueError(f"n_samples must be at least 16, got {n_samples!r}")
+    if not 16 <= n_samples <= _MAX_SAMPLES:
+        raise ValueError(
+            f"n_samples must be between 16 and {_MAX_SAMPLES}, got {n_samples!r}"
+        )
 
     s = sharpness_scalar(alpha, a)
     xs = np.linspace(-beta, beta, n_samples)
@@ -203,10 +211,15 @@ def boundary_curve(
 
 @dataclass(frozen=True)
 class SpecialCaseVerdict:
-    """Closed-form verdict from one of the historically known regimes."""
+    """Closed-form verdict from one of the historically known regimes.
+
+    ``margin`` is the distance of the pair from the deciding comparison,
+    in the units of that comparison.
+    """
 
     which: str  # "busch" | "liu" | "molnar"
     coexistent: bool
+    margin: float
 
 
 def special_case_verdict(p: RelativePair) -> SpecialCaseVerdict | None:
@@ -219,15 +232,21 @@ def special_case_verdict(p: RelativePair) -> SpecialCaseVerdict | None:
     """
     b = p.b
     if abs(p.alpha - 1.0) <= _DOMAIN_TOL and abs(p.beta - 1.0) <= _DOMAIN_TOL:
-        total = math.hypot(p.a + p.bx, p.by) + math.hypot(p.a - p.bx, p.by)
-        return SpecialCaseVerdict("busch", total <= 2.0 + BOUNDARY_TOL)
+        plus = math.hypot(p.a + p.bx, p.by)
+        minus = math.hypot(p.a - p.bx, p.by)
+        return SpecialCaseVerdict(
+            "busch", plus + minus <= 2.0 + BOUNDARY_TOL, abs(2.0 - plus - minus)
+        )
     if abs(p.beta - 1.0) <= _DOMAIN_TOL and abs(p.bx) <= _DOMAIN_TOL:
         limit = 0.5 * math.sqrt(max((2.0 - p.alpha) ** 2 - p.a * p.a, 0.0)) + 0.5 * math.sqrt(
             max(p.alpha * p.alpha - p.a * p.a, 0.0)
         )
-        return SpecialCaseVerdict("liu", b <= limit + BOUNDARY_TOL)
+        return SpecialCaseVerdict("liu", b <= limit + BOUNDARY_TOL, abs(limit - b))
     if abs(p.a - p.alpha) <= _DOMAIN_TOL and abs(b - p.beta) <= _DOMAIN_TOL:
-        parallel = p.bx >= p.beta - BOUNDARY_TOL
-        dot_bound = p.a * p.bx <= 2.0 - 2.0 * p.alpha - 2.0 * p.beta + p.alpha * p.beta + BOUNDARY_TOL
-        return SpecialCaseVerdict("molnar", parallel or dot_bound)
+        bound = 2.0 - 2.0 * p.alpha - 2.0 * p.beta + p.alpha * p.beta
+        coexistent = p.bx >= p.beta - BOUNDARY_TOL or p.a * p.bx <= bound + BOUNDARY_TOL
+        margin = abs(p.a * p.bx - bound)
+        if p.bx >= p.beta:
+            margin = min(margin, abs(p.bx - p.beta))
+        return SpecialCaseVerdict("molnar", coexistent, margin)
     return None

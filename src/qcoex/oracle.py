@@ -20,7 +20,6 @@ __all__ = [
     "DiskSystem",
     "OracleResult",
     "SweepReport",
-    "circle_intersection_points",
     "disks_at",
     "disks_feasible",
     "oracle_agreement_sweep",
@@ -41,6 +40,13 @@ _TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 # Overlap brackets are widened so near-tangent candidate points are still
 # generated; the membership slack remains the arbiter of feasibility.
 _BRACKET_TOL = 1e-9
+# Grid gammas per kernel call, which bounds the kernel's temporaries.
+_CHUNK = 2048
+# A refinement step samples each bracket at the ends of _CELLS equal cells.
+_CELLS = 32
+_STEPS = np.linspace(0.0, 1.0, _CELLS + 1)
+# Bracket width at which the search for the profile minimum stops.
+_MINIMUM_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,36 +73,18 @@ class DiskSystem:
         object.__setattr__(self, "gamma", float(self.gamma))
 
 
+def _centers(p: RelativePair) -> np.ndarray:
+    return np.array([[0.0, 0.0], [p.a, 0.0], [p.bx, p.by], [p.a + p.bx, p.by]])
+
+
+def _radii(p: RelativePair, gammas):
+    """Radii of the four disks, shape (4,) for one gamma or (4, m) for m gammas."""
+    return np.array([gammas, p.alpha - gammas, p.beta - gammas, 2.0 + gammas - p.alpha - p.beta])
+
+
 def disks_at(p: RelativePair, gamma: float) -> DiskSystem:
     """Disk system of a canonical pair at a given gamma."""
-    centers = [
-        (0.0, 0.0),
-        (p.a, 0.0),
-        (p.bx, p.by),
-        (p.a + p.bx, p.by),
-    ]
-    radii = [gamma, p.alpha - gamma, p.beta - gamma, 2.0 + gamma - p.alpha - p.beta]
-    return DiskSystem(np.array(centers), np.array(radii), gamma)
-
-
-def circle_intersection_points(c0, r0: float, c1, r1: float) -> list[tuple[float, float]]:
-    """Common points of two circles; tangency collapses to a single point."""
-    dx = c1[0] - c0[0]
-    dy = c1[1] - c0[1]
-    d = math.hypot(dx, dy)
-    if d == 0.0:
-        return []
-    if d > r0 + r1 + _BRACKET_TOL or d < abs(r0 - r1) - _BRACKET_TOL:
-        return []
-    t = (r0 * r0 - r1 * r1 + d * d) / (2.0 * d)
-    h = math.sqrt(max(r0 * r0 - t * t, 0.0))
-    mx = c0[0] + t * dx / d
-    my = c0[1] + t * dy / d
-    if h == 0.0:
-        return [(mx, my)]
-    ox = -dy / d * h
-    oy = dx / d * h
-    return [(mx + ox, my + oy), (mx - ox, my - oy)]
+    return DiskSystem(_centers(p), _radii(p, gamma), gamma)
 
 
 def point_violation(d: DiskSystem, point) -> float:
@@ -108,220 +96,155 @@ def point_violation(d: DiskSystem, point) -> float:
     return worst
 
 
-def _candidate_points(d: DiskSystem):
-    """Candidates deciding feasibility: disk centers and circle crossings."""
-    for cx, cy in d.centers:
-        yield (float(cx), float(cy))
-    for i, j in _PAIRS:
-        ri = float(d.radii[i])
-        rj = float(d.radii[j])
-        if ri < 0.0 or rj < 0.0:
-            continue
-        yield from circle_intersection_points(d.centers[i], ri, d.centers[j], rj)
+def _minimax(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest max violation over the candidate points, one disk system per column.
 
-
-def disks_feasible(d: DiskSystem) -> tuple[float, float] | None:
-    """Exact finite feasibility test; returns the deepest candidate point if any.
-
-    A nonempty intersection of disks whose boundary has vertices exposes a
-    pairwise circle-intersection point; a vertex-free nonempty intersection
-    is a full disk, whose center qualifies.  So checking the 4 centers and
-    the <= 12 pairwise intersection points decides feasibility exactly.
+    ``centers`` is (4, 2) and ``radii`` (4, m).  The candidates are the 4
+    centers, the 12 circle crossings, the 6 pair balance points (two signed
+    violations equal) and the 8 triple points (three equal).  The minimizer
+    of the max violation has one, two or three active constraints, so it is
+    a center, a balance point or a triple point: the minimum found is the
+    exact minimax, and the system is feasible exactly when it is <= 0.
+    Returns that minimum, shape (m,), and the point attaining it, (m, 2).
     """
-    best = None
-    best_v = math.inf
-    for pt in _candidate_points(d):
-        v = point_violation(d, pt)
-        if v < best_v:
-            best_v = v
-            best = pt
-    if best is not None and best_v <= MEMBERSHIP_SLACK:
-        return best
-    return None
-
-
-def _triple_points(centers, radii, i: int, j: int, k: int) -> list[tuple[float, float]]:
-    """Points where three constraints have the same signed violation.
-
-    Solving ||g - c|| - r = t for the three disks is linear in g given t and
-    quadratic in t, the classical tangent-circle construction.
-    """
-    ci, cj, ck = centers[i], centers[j], centers[k]
-    ri, rj, rk = float(radii[i]), float(radii[j]), float(radii[k])
-    m00 = 2.0 * (cj[0] - ci[0])
-    m01 = 2.0 * (cj[1] - ci[1])
-    m10 = 2.0 * (ck[0] - ci[0])
-    m11 = 2.0 * (ck[1] - ci[1])
-    det = m00 * m11 - m01 * m10
-    if abs(det) < 1e-14:
-        return []
-    u1 = (cj[0] ** 2 + cj[1] ** 2) - (ci[0] ** 2 + ci[1] ** 2) + ri * ri - rj * rj
-    u2 = (ck[0] ** 2 + ck[1] ** 2) - (ci[0] ** 2 + ci[1] ** 2) + ri * ri - rk * rk
-    v1 = 2.0 * (ri - rj)
-    v2 = 2.0 * (ri - rk)
-    g0 = ((m11 * u1 - m01 * u2) / det, (-m10 * u1 + m00 * u2) / det)
-    g1 = ((m11 * v1 - m01 * v2) / det, (-m10 * v1 + m00 * v2) / det)
-    w0 = (g0[0] - ci[0], g0[1] - ci[1])
-    qa = g1[0] * g1[0] + g1[1] * g1[1] - 1.0
-    qb = 2.0 * (w0[0] * g1[0] + w0[1] * g1[1] - ri)
-    qc = w0[0] * w0[0] + w0[1] * w0[1] - ri * ri
-    if abs(qa) < 1e-14:
-        ts = [-qc / qb] if abs(qb) > 1e-14 else []
-    else:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            ts = []
-        else:
-            sq = math.sqrt(disc)
-            ts = [(-qb + sq) / (2.0 * qa), (-qb - sq) / (2.0 * qa)]
-    return [(g0[0] + t * g1[0], g0[1] + t * g1[1]) for t in ts]
-
-
-def _margin_candidate_points(d: DiskSystem):
-    """Stationary points of the max-violation function, on top of the
-    feasibility candidates: pair balance points (two constraints active)
-    and triple equalization points (three active).  Together with the
-    centers these contain the minimizer of the per-gamma minimax."""
-    yield from _candidate_points(d)
-    for i, j in _PAIRS:
-        ci = d.centers[i]
-        cj = d.centers[j]
-        dd = math.hypot(cj[0] - ci[0], cj[1] - ci[1])
-        if dd == 0.0:
-            continue
-        s = (dd + float(d.radii[i]) - float(d.radii[j])) / 2.0
-        yield (
-            ci[0] + s * (cj[0] - ci[0]) / dd,
-            ci[1] + s * (cj[1] - ci[1]) / dd,
-        )
-    for i, j, k in _TRIPLES:
-        yield from _triple_points(d.centers, d.radii, i, j, k)
-
-
-def _best_violation(p: RelativePair, gamma: float) -> float:
-    """Minimum over candidate points of the max constraint violation."""
-    d = disks_at(p, gamma)
-    return min(point_violation(d, pt) for pt in _margin_candidate_points(d))
-
-
-def _violation_profile(p: RelativePair, gammas: np.ndarray) -> np.ndarray:
-    """Vectorized _best_violation over a gamma grid (same candidate geometry)."""
-    m = gammas.size
-    centers = np.array([[0.0, 0.0], [p.a, 0.0], [p.bx, p.by], [p.a + p.bx, p.by]])
-    radii = np.empty((4, m))
-    radii[0] = gammas
-    radii[1] = p.alpha - gammas
-    radii[2] = p.beta - gammas
-    radii[3] = 2.0 + gammas - p.alpha - p.beta
-    radii_t = radii.T  # (m, 4)
-
-    best = np.full(m, np.inf)
-
-    def consider(pts: np.ndarray, mask: np.ndarray | None = None) -> None:
-        # pts: (m, 2) candidate per gamma
-        dists = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2)
-        viol = (dists - radii_t).max(axis=1)
-        if mask is not None:
-            viol = np.where(mask, viol, np.inf)
-        viol = np.where(np.isfinite(viol), viol, np.inf)
-        np.minimum(best, viol, out=best)
-
-    dcc = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
-    for k in range(4):
-        viol = (dcc[:, k][:, None] - radii).max(axis=0)
-        np.minimum(best, viol, out=best)
-
-    for i, j in _PAIRS:
-        ci = centers[i]
-        cj = centers[j]
-        d = float(np.linalg.norm(cj - ci))
-        if d == 0.0:
-            continue
-        ri = radii[i]
-        rj = radii[j]
-        ex = (cj - ci) / d
-        orth = np.array([-ex[1], ex[0]])
-        # crossing points of the two circles
-        ok = (
-            (ri >= 0.0)
-            & (rj >= 0.0)
-            & (d <= ri + rj + _BRACKET_TOL)
-            & (d >= np.abs(ri - rj) - _BRACKET_TOL)
-        )
-        if ok.any():
-            t = (ri * ri - rj * rj + d * d) / (2.0 * d)
+    m = radii.shape[1]
+    xs = [np.full(m, cx) for cx in centers[:, 0]]
+    ys = [np.full(m, cy) for cy in centers[:, 1]]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i, j in _PAIRS:
+            ci = centers[i]
+            cj = centers[j]
+            d = float(np.linalg.norm(cj - ci))
+            if d == 0.0:
+                continue
+            ri = radii[i]
+            rj = radii[j]
+            ex = (cj - ci) / d
+            # circle crossings; NaN where the circles miss each other
+            ok = (
+                (ri >= 0.0)
+                & (rj >= 0.0)
+                & (d <= ri + rj + _BRACKET_TOL)
+                & (d >= np.abs(ri - rj) - _BRACKET_TOL)
+            )
+            t = np.where(ok, (ri * ri - rj * rj + d * d) / (2.0 * d), np.nan)
             h = np.sqrt(np.clip(ri * ri - t * t, 0.0, None))
-            base = ci[None, :] + t[:, None] * ex[None, :]
-            for sign in (1.0, -1.0):
-                consider(base + sign * h[:, None] * orth[None, :], ok)
-        # balance point where both signed violations coincide
-        s = (d + ri - rj) / 2.0
-        consider(ci[None, :] + s[:, None] * ex[None, :])
+            mx = ci[0] + t * ex[0]
+            my = ci[1] + t * ex[1]
+            xs += [mx + h * -ex[1], mx - h * -ex[1]]
+            ys += [my + h * ex[0], my - h * ex[0]]
+            # balance point on the segment between the centers
+            s = (d + ri - rj) / 2.0
+            xs.append(ci[0] + s * ex[0])
+            ys.append(ci[1] + s * ex[1])
 
-    for i, j, k in _TRIPLES:
-        ci, cj, ck = centers[i], centers[j], centers[k]
-        m00 = 2.0 * (cj[0] - ci[0])
-        m01 = 2.0 * (cj[1] - ci[1])
-        m10 = 2.0 * (ck[0] - ci[0])
-        m11 = 2.0 * (ck[1] - ci[1])
-        det = m00 * m11 - m01 * m10
-        if abs(det) < 1e-14:
-            continue
-        ri, rj, rk = radii[i], radii[j], radii[k]
-        u1 = float(cj @ cj - ci @ ci) + ri * ri - rj * rj
-        u2 = float(ck @ ck - ci @ ci) + ri * ri - rk * rk
-        v1 = 2.0 * (ri - rj)
-        v2 = 2.0 * (ri - rk)
-        g0 = np.stack([(m11 * u1 - m01 * u2) / det, (-m10 * u1 + m00 * u2) / det], axis=1)
-        g1 = np.stack([(m11 * v1 - m01 * v2) / det, (-m10 * v1 + m00 * v2) / det], axis=1)
-        w0 = g0 - ci[None, :]
-        qa = (g1 * g1).sum(axis=1) - 1.0
-        qb = 2.0 * ((w0 * g1).sum(axis=1) - ri)
-        qc = (w0 * w0).sum(axis=1) - ri * ri
-        with np.errstate(invalid="ignore", divide="ignore"):
+        for i, j, k in _TRIPLES:
+            # ||g - c|| - r = t for three disks is linear in g given t and
+            # quadratic in t, the classical tangent-circle construction
+            ci, cj, ck = centers[i], centers[j], centers[k]
+            m00 = 2.0 * (cj[0] - ci[0])
+            m01 = 2.0 * (cj[1] - ci[1])
+            m10 = 2.0 * (ck[0] - ci[0])
+            m11 = 2.0 * (ck[1] - ci[1])
+            det = m00 * m11 - m01 * m10
+            if abs(det) < 1e-14:
+                continue
+            ri, rj, rk = radii[i], radii[j], radii[k]
+            u1 = float(cj @ cj - ci @ ci) + ri * ri - rj * rj
+            u2 = float(ck @ ck - ci @ ci) + ri * ri - rk * rk
+            v1 = 2.0 * (ri - rj)
+            v2 = 2.0 * (ri - rk)
+            g0x = (m11 * u1 - m01 * u2) / det
+            g0y = (-m10 * u1 + m00 * u2) / det
+            g1x = (m11 * v1 - m01 * v2) / det
+            g1y = (-m10 * v1 + m00 * v2) / det
+            w0x = g0x - ci[0]
+            w0y = g0y - ci[1]
+            qa = g1x * g1x + g1y * g1y - 1.0
+            qb = 2.0 * (w0x * g1x + w0y * g1y - ri)
+            qc = w0x * w0x + w0y * w0y - ri * ri
             disc = qb * qb - 4.0 * qa * qc
             sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
             linear = np.abs(qa) < 1e-14
             t_lin = np.where(np.abs(qb) > 1e-14, -qc / np.where(qb != 0.0, qb, 1.0), np.nan)
             for sign in (1.0, -1.0):
-                t_quad = (-qb + sign * sq) / (2.0 * np.where(linear, 1.0, qa))
-                t = np.where(linear, t_lin, t_quad)
-                mask = np.isfinite(t)
-                pts = g0 + np.where(mask, t, 0.0)[:, None] * g1
-                consider(pts, mask)
-    return best
+                t = np.where(linear, t_lin, (-qb + sign * sq) / (2.0 * np.where(linear, 1.0, qa)))
+                xs.append(g0x + t * g1x)
+                ys.append(g0y + t * g1y)
+
+    x = np.array(xs)
+    y = np.array(ys)
+    worst = np.full(x.shape, -np.inf)
+    for (cx, cy), r in zip(centers, radii):
+        dx = x - cx
+        dx *= dx
+        dy = y - cy
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        dx -= r
+        np.maximum(worst, dx, out=worst)
+    worst[~np.isfinite(worst)] = np.inf
+    best = worst.argmin(axis=0)
+    cols = np.arange(m)
+    return worst[best, cols], np.stack([x[best, cols], y[best, cols]], axis=1)
 
 
-def _refine_minimum(p: RelativePair, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section refinement of the (convex) violation profile."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc = _best_violation(p, c)
-    fd = _best_violation(p, d)
-    for _ in range(120):
-        if hi - lo < 1e-13:
+def disks_feasible(d: DiskSystem) -> tuple[float, float] | None:
+    """Exact finite feasibility test; returns the minimax point when it is inside.
+
+    The point is the candidate with the smallest max violation, so it lies
+    in every disk (within ``MEMBERSHIP_SLACK``) exactly when the system is
+    feasible.
+    """
+    value, point = _minimax(d.centers, d.radii[:, None])
+    if value[0] <= MEMBERSHIP_SLACK:
+        return float(point[0, 0]), float(point[0, 1])
+    return None
+
+
+def _violation_profile(p: RelativePair, gammas: np.ndarray) -> np.ndarray:
+    """Minimax violation at each gamma, evaluated in chunks of _CHUNK gammas."""
+    centers = _centers(p)
+    return np.concatenate(
+        [
+            _minimax(centers, _radii(p, gammas[i : i + _CHUNK]))[0]
+            for i in range(0, gammas.size, _CHUNK)
+        ]
+    )
+
+
+def _search(
+    p: RelativePair, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink gamma brackets [lo, hi] to at most ``tol``, one kernel call per step.
+
+    Each step samples every bracket at _CELLS + 1 evenly spaced gammas.
+    With ``sign`` 0 the best sample has the lowest profile value and the two
+    cells around it are kept, which closes on the minimum of the convex
+    profile.  With ``sign`` +1 (-1) the best sample is the lowest (highest)
+    feasible gamma and the cell outside it is kept, which closes on the
+    lower (upper) edge of the feasible interval; such a bracket needs a
+    feasible gamma at its inner end.  Returns the best sample of each
+    bracket and its profile value.
+    """
+    centers = _centers(p)
+    rows = np.arange(lo.size)
+    for _ in range(64):  # each step shrinks every bracket at least 16-fold
+        gammas = lo[:, None] + (hi - lo)[:, None] * _STEPS
+        gammas[:, -1] = hi
+        values = _minimax(centers, _radii(p, gammas.ravel()))[0].reshape(gammas.shape)
+        key = np.where(
+            sign[:, None] == 0.0,
+            values,
+            np.where(values <= MEMBERSHIP_SLACK, sign[:, None] * gammas, np.inf),
+        )
+        best = key.argmin(axis=1)
+        if np.max(hi - lo) <= tol:
             break
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = _best_violation(p, c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = _best_violation(p, d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _bisect_edge(feasible, bad: float, good: float, tol: float = ENDPOINT_TOL) -> float:
-    """Feasibility flips once between bad and good; locate the edge on the good side."""
-    while abs(good - bad) > tol:
-        mid = 0.5 * (bad + good)
-        if feasible(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+        lo = gammas[rows, np.maximum(best - (sign >= 0.0), 0)]
+        hi = gammas[rows, np.minimum(best + (sign <= 0.0), _CELLS)]
+    return gammas[rows, best], values[rows, best]
 
 
 @dataclass(frozen=True)
@@ -345,9 +268,11 @@ class OracleResult:
 def oracle_scan(p: RelativePair, grid: int = DEFAULT_GRID) -> OracleResult:
     """Scan gamma over [0, min(alpha, beta)] and decide feasibility.
 
-    The grid scan locates the (interval-shaped) feasible gamma set; a
-    golden-section refinement catches intervals thinner than the grid step.
-    Endpoints are then sharpened by bisection on the exact per-gamma test.
+    The grid scan locates the (interval-shaped) feasible gamma set.  When no
+    grid gamma is feasible, a bracket search around the grid minimum catches
+    intervals thinner than the grid step.  The same search then closes on
+    both interval edges from their grid brackets, to ``ENDPOINT_TOL``.  The
+    certificate point is the minimax point at the best gamma.
     """
     if grid < 100:
         raise ValueError(f"grid must be at least 100, got {grid!r}")
@@ -360,29 +285,28 @@ def oracle_scan(p: RelativePair, grid: int = DEFAULT_GRID) -> OracleResult:
     k = int(np.argmin(profile))
     margin = float(profile[k])
     g_best = float(gammas[k])
-    if margin > MEMBERSHIP_SLACK and gammas.size > 1:
-        lo = float(gammas[max(k - 1, 0)])
-        hi = float(gammas[min(k + 1, gammas.size - 1)])
-        g_ref, v_ref = _refine_minimum(p, lo, hi)
+    last = gammas.size - 1
+    if margin > MEMBERSHIP_SLACK and last > 0:
+        lo, hi = gammas[[max(k - 1, 0)]], gammas[[min(k + 1, last)]]
+        (g_ref,), (v_ref,) = _search(p, lo, hi, np.zeros(1), _MINIMUM_TOL)
         if v_ref < margin:
             margin, g_best = float(v_ref), float(g_ref)
     if margin > MEMBERSHIP_SLACK:
         return OracleResult(False, margin)
 
+    # each edge is bracketed by the outermost feasible gamma found and the
+    # grid gamma beyond it; the bracket is empty at 0 or gmax
+    inside = np.flatnonzero(profile <= MEMBERSHIP_SLACK)
+    if inside.size:
+        first, final = inside[0], inside[-1]
+        found = gammas[[first, final]]
+    else:
+        first = final = k
+        found = np.array([g_best, g_best])
+    lo = np.array([gammas[max(first - 1, 0)], found[1]])
+    hi = np.array([found[0], gammas[min(final + 1, last)]])
+    (g_lo, g_hi), _ = _search(p, lo, hi, np.array([1.0, -1.0]), ENDPOINT_TOL)
     point = disks_feasible(disks_at(p, g_best))
-    if point is None:
-        # scalar and vector paths can disagree by roundoff right at the
-        # slack edge; report infeasible with the near-zero margin
-        return OracleResult(False, float(max(margin, _best_violation(p, g_best))))
-    point = (float(point[0]), float(point[1]))
-    if gammas.size == 1:
-        return OracleResult(True, margin, g_best, point, g_best, g_best)
-
-    def feasible(g: float) -> bool:
-        return disks_feasible(disks_at(p, g)) is not None
-
-    g_lo = 0.0 if feasible(0.0) else _bisect_edge(feasible, 0.0, g_best)
-    g_hi = gmax if feasible(gmax) else _bisect_edge(feasible, gmax, g_best)
     return OracleResult(True, margin, g_best, point, float(g_lo), float(g_hi))
 
 

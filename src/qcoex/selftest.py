@@ -165,22 +165,6 @@ def _molnar_pair(rng: np.random.Generator) -> RelativePair:
     )
 
 
-def _special_margin(p: RelativePair) -> float:
-    """Distance of the pair from the closed-form decision boundary of its domain."""
-    b = p.b
-    if abs(p.alpha - 1.0) <= 1e-12 and abs(p.beta - 1.0) <= 1e-12:
-        return abs(2.0 - math.hypot(p.a + p.bx, p.by) - math.hypot(p.a - p.bx, p.by))
-    if abs(p.beta - 1.0) <= 1e-12 and abs(p.bx) <= 1e-12:
-        limit = 0.5 * math.sqrt(max((2.0 - p.alpha) ** 2 - p.a**2, 0.0)) + 0.5 * math.sqrt(
-            max(p.alpha**2 - p.a**2, 0.0)
-        )
-        return abs(limit - b)
-    margins = [abs(p.a * p.bx - (2.0 - 2.0 * p.alpha - 2.0 * p.beta + p.alpha * p.beta))]
-    if p.bx >= p.beta:
-        margins.append(abs(p.bx - p.beta))
-    return min(margins)
-
-
 def suite_special_cases(
     n: int, seed: int, band: float = SPECIAL_CASE_BAND
 ) -> SuiteResult:
@@ -199,12 +183,11 @@ def suite_special_cases(
             pair = make(rng)
             special = special_case_verdict(pair)
             assert special is not None
-            margin = _special_margin(pair)
-            if margin < band:
+            if special.margin < band:
                 skipped += 1
                 continue
             checked += 1
-            worst = min(worst, margin)
+            worst = min(worst, special.margin)
             if classify(pair).coexistent != special.coexistent:
                 violations += 1
     return SuiteResult("special-cases", checked, violations, skipped, worst)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qcoex.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, PRESETS, dumps, main
+from qcoex.cli import EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, PRESETS, dumps, main
 
 SQRT3_INV = 1.0 / math.sqrt(3.0)
 
@@ -113,6 +113,24 @@ class TestDecideErrors:
         assert code == EXIT_USAGE
         assert "matrix" in err
 
+    def test_nan_matrix_entry(self, capsys):
+        spec = '{"matrix": [[NaN, 0], [0, 0], [0, 0], [0.5, 0]]}'
+        code, out, err = run(capsys, ["decide", spec, '{"alpha": 1, "a": [1, 0, 0]}'])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("angle", [1e-6, 1e-7])
+    def test_internal_failure_has_its_own_exit_code(self, capsys, angle):
+        # near-parallel sharp projections: the witness search raises, which
+        # must not read as "not coexistent"
+        turned = json.dumps({"alpha": 1, "a": [math.cos(angle), math.sin(angle), 0]})
+        code, out, err = run(capsys, ["decide", '{"alpha": 1, "a": [1, 0, 0]}', turned, "--witness"])
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("error: internal: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestBoundary:
     def test_full_disk_preset_csv(self, capsys):
@@ -158,6 +176,12 @@ class TestBoundary:
         code, _, err = run(capsys, ["boundary", "--alpha", "1.5", "--a", "0.5", "--beta", "0.9"])
         assert code == EXIT_USAGE
         assert "alpha" in err
+
+    def test_too_many_samples_rejected(self, capsys):
+        code, out, err = run(capsys, ["boundary", "--preset", "fig1b", "--samples", "100001"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "n_samples" in err
 
 
 class TestWitnessCommand:

@@ -252,6 +252,10 @@ class TestBoundaryCurve:
         with pytest.raises(ValueError, match="n_samples"):
             boundary_curve(0.6, 0.5, 0.9, 8)
 
+    def test_rejects_too_many_samples(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            boundary_curve(0.6, 0.5, 0.9, 100_001)
+
 
 class TestSpecialCases:
     def test_orthogonal_projections(self):
@@ -271,6 +275,13 @@ class TestSpecialCases:
         above = special_case_verdict(RelativePair(0.6, 0.5, 1.0, 0.0, LIU_06_05 + 1e-6))
         assert below.which == "liu" and below.coexistent
         assert above.which == "liu" and not above.coexistent
+
+    def test_margin_is_distance_from_deciding_comparison(self):
+        for by in (LIU_06_05 - 1e-6, LIU_06_05 + 1e-6):
+            v = special_case_verdict(RelativePair(0.6, 0.5, 1.0, 0.0, by))
+            assert v.margin == pytest.approx(1e-6, rel=1e-6)
+        v = special_case_verdict(RelativePair(1.0, 1.0, 1.0, 0.0, 1.0))
+        assert v.margin == pytest.approx(2.0 * math.sqrt(2.0) - 2.0, abs=1e-15)
 
     def test_none_off_domain(self):
         assert special_case_verdict(RelativePair(0.6, 0.5, 0.9, 0.1, 0.2)) is None

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from qcoex.bloch import RelativePair, effect_from_bloch, relative_pair
-from qcoex.coexist import classify
+from qcoex.coexist import by_max, classify
 from qcoex.oracle import (
+    ENDPOINT_TOL,
     MEMBERSHIP_SLACK,
-    circle_intersection_points,
+    DiskSystem,
     disks_at,
     disks_feasible,
     oracle_agreement_sweep,
@@ -51,28 +52,39 @@ class TestDisksAt:
         assert hi.radii[2] < lo.radii[2]
 
 
+def two_disks(c0, r0: float, c1, r1: float) -> DiskSystem:
+    """Four-disk system with each of the two disks given twice."""
+    return DiskSystem(np.array([c0, c0, c1, c1]), np.array([r0, r0, r1, r1]), 0.0)
+
+
 class TestCircleIntersections:
     def test_two_crossings(self):
-        pts = circle_intersection_points((0.0, 0.0), 1.0, (1.0, 0.0), 1.0)
-        assert len(pts) == 2
-        for x, y in pts:
-            assert x == pytest.approx(0.5, abs=1e-12)
-            assert abs(y) == pytest.approx(math.sqrt(0.75), abs=1e-12)
+        d = two_disks((0.0, 0.0), 1.0, (1.0, 0.0), 1.0)
+        pt = disks_feasible(d)
+        # the deepest point of the lens lies midway between the centers
+        assert pt == pytest.approx((0.5, 0.0), abs=1e-12)
+        assert point_violation(d, pt) == pytest.approx(-0.5, abs=1e-12)
 
     def test_external_tangency_single_point(self):
-        pts = circle_intersection_points((0.0, 0.0), 1.0, (2.0, 0.0), 1.0)
-        assert pts == [(1.0, 0.0)]
+        pt = disks_feasible(two_disks((0.0, 0.0), 1.0, (2.0, 0.0), 1.0))
+        assert pt == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_internal_tangency_single_point(self):
-        pts = circle_intersection_points((0.0, 0.0), 2.0, (1.0, 0.0), 1.0)
-        assert pts == [(2.0, 0.0)]
+        # the small disk touches the large one from inside, so it is the
+        # common part and its center is the deepest common point
+        d = two_disks((0.0, 0.0), 2.0, (1.0, 0.0), 1.0)
+        pt = disks_feasible(d)
+        assert pt == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert point_violation(d, pt) == pytest.approx(-1.0, abs=1e-12)
 
     def test_disjoint_and_nested(self):
-        assert circle_intersection_points((0.0, 0.0), 1.0, (5.0, 0.0), 1.0) == []
-        assert circle_intersection_points((0.0, 0.0), 3.0, (0.5, 0.0), 1.0) == []
+        assert disks_feasible(two_disks((0.0, 0.0), 1.0, (5.0, 0.0), 1.0)) is None
+        nested = two_disks((0.0, 0.0), 3.0, (0.5, 0.0), 1.0)
+        assert point_violation(nested, disks_feasible(nested)) <= MEMBERSHIP_SLACK
 
     def test_concentric(self):
-        assert circle_intersection_points((0.0, 0.0), 1.0, (0.0, 0.0), 1.0) == []
+        d = two_disks((0.0, 0.0), 1.0, (0.0, 0.0), 1.0)
+        assert point_violation(d, disks_feasible(d)) <= MEMBERSHIP_SLACK
 
 
 class TestDisksFeasible:
@@ -138,17 +150,34 @@ class TestOracleScan:
 
     def test_boundary_pair_margin_near_zero_and_certificate(self):
         alpha, a, beta, bx = 0.6, 0.5, 1.0, 0.0
-        from qcoex.coexist import by_max
-
         by = by_max(alpha, a, beta, bx)
         p = RelativePair(alpha, a, beta, bx, by)
         res = oracle_scan(p, 10_000)
         assert res.coexistent
         assert abs(res.margin) < 1e-6
+        # the feasible interval is thinner than one grid step here
+        assert res.gamma_lo <= res.gamma <= res.gamma_hi
         # the coincident-crossing construction pins the only workable gamma
         gamma_expected = 0.5 * (a * bx + alpha * beta - 2.0 * (1.0 - alpha) * (1.0 - beta))
         assert res.gamma == pytest.approx(gamma_expected, abs=1e-3)
         assert res.gamma_hi - res.gamma_lo < 1e-3
+
+    def test_certificate_and_edges(self):
+        # the certificate lies in every disk, both edges are feasible and
+        # ENDPOINT_TOL beyond an inner edge is not
+        rng = np.random.default_rng(2025)
+        pairs = [relative_pair(*random_effect_pair(rng))[0] for _ in range(200)]
+        pairs.append(RelativePair(0.6, 0.5, 1.0, 0.0, by_max(0.6, 0.5, 1.0, 0.0)))
+        for p in pairs:
+            res = oracle_scan(p, 10_000)
+            if not res.coexistent:
+                continue
+            assert point_violation(disks_at(p, res.gamma), res.point) <= MEMBERSHIP_SLACK
+            gmax = min(p.alpha, p.beta)
+            for edge, outward in ((res.gamma_lo, -ENDPOINT_TOL), (res.gamma_hi, ENDPOINT_TOL)):
+                assert disks_feasible(disks_at(p, edge)) is not None
+                if edge not in (0.0, gmax):
+                    assert disks_feasible(disks_at(p, edge + outward)) is None
 
     def test_feasible_gamma_set_is_interval(self):
         from qcoex.oracle import _violation_profile
