@@ -3,6 +3,11 @@
 Coexistence of effects A and B is certified by a single effect G1 whose four
 operator constraints (G1 >= 0, G1 <= A, G1 <= B, 1 + G1 >= A + B) hold; the
 joint observable is then (G1, A - G1, B - G1, 1 + G1 - A - B).
+
+One closed form builds G1 in the reduced pair's plane: the operator product
+for commuting pairs, and otherwise a mixture of the witness at the top of the
+allowed region (same bx, largest allowed by) with the commuting partner at
+by = 0.  The oracle's certificate is the only fallback.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochEffect, RelativePair, complement, effect_to_matrix, relative_pair
-from .coexist import C3, Verdict, by_max, classify
+from .coexist import C3, Verdict, classify
 from .oracle import oracle_scan
 
 __all__ = [
@@ -27,7 +32,6 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-9
-SUM_TOL = 1e-12
 _FULL_LENGTH_TOL = 1e-9
 
 
@@ -162,60 +166,36 @@ def _mix(w1, w2, lam: float) -> tuple[float, float, float]:
     return tuple(lam * x + (1.0 - lam) * y for x, y in zip(w1, w2))
 
 
-def _allowed_top(p: RelativePair, verdict: Verdict) -> tuple[float, bool]:
-    """Largest allowed by at this bx, and whether it sits on the full circle."""
-    if verdict.b0 is None or verdict.w is None or abs(p.bx - verdict.b0) >= verdict.w - 1e-12:
-        return math.sqrt(max(p.beta * p.beta - p.bx * p.bx, 0.0)), True
-    if verdict.by_max is not None:
-        return verdict.by_max, False
-    return by_max(p.alpha, p.a, p.beta, p.bx), False
+def _closed_form(p: RelativePair, verdict: Verdict) -> tuple[float, float, float] | None:
+    """Witness in the canonical plane (see find_witness), or None when it degenerates.
 
-
-def _planar_candidates(p: RelativePair, verdict: Verdict):
-    """Candidate (gamma, gx, gy) witnesses in the canonical plane, best first.
-
-    Layered strategy: commuting product for parallel pairs; interval
-    midpoint at full length; the coincident boundary point in the
-    restricted regime; convex mixtures pulling interior points to the
-    boundary; brute-force feasibility search as the last resort.
+    Every constraint is linear in (G1, A, B) jointly, so mixing the witnesses
+    of the top pair and of its by = 0 partner gives one for the pair between.
     """
     if p.a == 0.0 or p.by == 0.0:
-        yield _commuting_witness(p)
+        return _commuting_witness(p)
+    if verdict.regime == C3:
+        top, top_witness = verdict.by_max, _curve_witness
     else:
-        b = p.b
-        if abs(b - p.beta) <= _FULL_LENGTH_TOL:
-            candidate = _full_length_witness(p)
-            if candidate is not None:
-                yield candidate
-        else:
-            if (
-                verdict.regime == C3
-                and verdict.by_max is not None
-                and abs(p.by - verdict.by_max) <= 1e-9
-            ):
-                yield _curve_witness(p)
-            # scale along the direction of b to full length when allowed,
-            # then mix with the joint observable of A and beta/2 * identity
-            scaled = RelativePair(p.alpha, p.a, p.beta, p.beta * p.bx / b, p.beta * p.by / b)
-            if classify(scaled).coexistent:
-                candidate = _full_length_witness(scaled)
-                if candidate is not None:
-                    trivial = (0.5 * p.beta * p.alpha, 0.5 * p.beta * p.a, 0.0)
-                    yield _mix(candidate, trivial, b / p.beta)
-            # otherwise raise by at fixed bx to the boundary and mix with
-            # the commuting partner having the same parallel component
-            top, on_circle = _allowed_top(p, verdict)
-            if top > 0.0:
-                top_pair = RelativePair(p.alpha, p.a, p.beta, p.bx, top)
-                candidate = (
-                    _full_length_witness(top_pair) if on_circle else _curve_witness(top_pair)
-                )
-                if candidate is not None:
-                    partner = _commuting_witness(RelativePair(p.alpha, p.a, p.beta, p.bx, 0.0))
-                    yield _mix(candidate, partner, p.by / top)
+        top, top_witness = math.sqrt(max(p.beta * p.beta - p.bx * p.bx, 0.0)), _full_length_witness
+    if top <= 0.0:
+        return None
+    try:
+        candidate = top_witness(RelativePair(p.alpha, p.a, p.beta, p.bx, top))
+    except ValueError:  # the degenerate (anti)parallel case of gamma_interval_2ci
+        return None
+    if candidate is None:
+        return None
+    partner = _commuting_witness(RelativePair(p.alpha, p.a, p.beta, p.bx, 0.0))
+    return _mix(candidate, partner, p.by / top)
+
+
+def _oracle_certificate(p: RelativePair, verdict: Verdict) -> tuple[float, float, float] | None:
+    # grid search, called with the closed form's signature; verdict is unused
     result = oracle_scan(p, grid=4000)
     if result.coexistent and result.point is not None and result.gamma is not None:
-        yield result.gamma, result.point[0], result.point[1]
+        return result.gamma, result.point[0], result.point[1]
+    return None
 
 
 def _any_unit_perpendicular(u: np.ndarray) -> np.ndarray:
@@ -242,9 +222,23 @@ def _plane_basis(avec: np.ndarray, bvec: np.ndarray) -> tuple[np.ndarray, np.nda
 def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
     """Explicit first outcome certifying coexistence; None when not coexistent.
 
+    At most two candidates are checked with :func:`operator_inequalities_hold`.
+    The first is the closed form: the commuting product when a = 0 or by = 0,
+    else by raised at fixed bx to the allowed top (``verdict.by_max`` in
+    regime C3, the full-length circle sqrt(beta^2 - bx^2) otherwise), whose
+    witness (the coincident crossing point on the curve, the gamma-interval
+    midpoint on the circle) is mixed with the commuting partner at by = 0
+    with weight by / top.  When that yields nothing (top = 0, an empty or
+    degenerate gamma interval, or a candidate failing the check), the second
+    is the certificate of ``oracle_scan(pair, grid=4000)``.
+
     The construction works in the reduced pair's plane and is mapped back
     through the complement relabeling recorded by the reduction, so inputs
     with trace coefficients above 1 are handled transparently.
+
+    Raises:
+        AssertionError: when the pair is classified coexistent but neither
+            candidate passes.
     """
     pair, report = relative_pair(A, B)
     verdict = classify(pair)
@@ -253,7 +247,11 @@ def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
     a_eff = complement(A) if report.complemented_a else A
     b_eff = complement(B) if report.complemented_b else B
     e1, e2 = _plane_basis(a_eff.avec, b_eff.avec)
-    for gamma, gx, gy in _planar_candidates(pair, verdict):
+    for construct in (_closed_form, _oracle_certificate):
+        planar = construct(pair, verdict)
+        if planar is None:
+            continue
+        gamma, gx, gy = planar
         g = float(gamma)
         v = gx * e1 + gy * e2
         if report.complemented_b:

@@ -16,6 +16,18 @@ PROJ_Y = '{"alpha": 1, "a": [0, 1, 0]}'
 FIG_A = '{"alpha": 0.6, "a": [0.5, 0, 0]}'
 FIG_B = '{"alpha": 0.6, "a": [0, 0.6, 0]}'
 
+# stdout of the README example `qcoex witness` command
+README_WITNESS_OUT = (
+    '{"coexistent": true, "witness": {"gamma": 0.370371132733644, "g": [0.0730173112465944, '
+    '0.18392742003357, 0.0797941581423525], "residuals": [-0.156998380828594, '
+    '-0.174811166741327, -0.271814337086737, -0.26309670287453], "effects": {"G1": {"alpha": '
+    '0.370371132733644, "a": [0.0730173112465944, 0.18392742003357, 0.0797941581423525]}, '
+    '"G2": {"alpha": 0.429628867266356, "a": [0.226982688753406, -0.0839274200335697, '
+    '-0.0797941581423525]}, "G3": {"alpha": 0.529628867266356, "a": [-0.0730173112465944, '
+    '0.21607257996643, 0.120205841857648]}, "G4": {"alpha": 0.670371132733644, "a": '
+    '[-0.226982688753406, -0.31607257996643, -0.120205841857648]}}}}' "\n"
+)
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -59,6 +71,19 @@ class TestDecide:
         assert wt["g"][0] == pytest.approx(0.288675134594813, abs=1e-12)
         assert wt["g"][1] == pytest.approx(0.288675134594813, abs=1e-12)
         assert set(wt["effects"]) == {"G1", "G2", "G3", "G4"}
+
+    def test_witness_near_junction_scaled_projection(self, capsys):
+        # C3 pair with b nearly parallel to a = alpha, just inside the
+        # junction: the gamma interval of b scaled to full length is
+        # degenerate there, and the witness must not depend on it
+        a = '{"alpha":0.745873181125018,"a":[0.745873181125018,0,0]}'
+        b = '{"alpha":0.4888506996347092,"a":[0.4888496996347091,1e-13,0]}'
+        code, out, err = run(capsys, ["decide", a, b, "--witness"])
+        assert code == EXIT_OK
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["regime"] == "C3"
+        assert set(payload["witness"]["effects"]) == {"G1", "G2", "G3", "G4"}
 
     def test_oracle_flag_reports_margin(self, capsys):
         code, out, _ = run(capsys, ["decide", PROJ_Z, PROJ_Y, "--oracle"])
@@ -191,6 +216,14 @@ class TestWitnessCommand:
         payload = json.loads(out)
         assert payload["coexistent"] is True
         assert "gamma" in payload["witness"]
+
+    def test_readme_example_bytes(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["witness", '{"alpha": 0.8, "a": [0.3, 0.1, 0]}', '{"alpha": 0.9, "a": [0, 0.4, 0.2]}'],
+        )
+        assert code == EXIT_OK
+        assert out == README_WITNESS_OUT
 
     def test_noncoexistent_pair(self, capsys):
         code, out, _ = run(capsys, ["witness", PROJ_Z, PROJ_Y])

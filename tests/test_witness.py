@@ -11,7 +11,7 @@ from qcoex.bloch import (
     effect_from_bloch,
     effect_to_matrix,
 )
-from qcoex.coexist import by_max, classify, is_coexistent
+from qcoex.coexist import boundary_curve, by_max, classify, is_coexistent
 from qcoex.oracle import random_effect_pair
 from qcoex.witness import (
     Witness,
@@ -29,6 +29,28 @@ def sic_pair():
     A = effect_from_bloch(1.0, (SQRT3_INV, 0.0, 0.0))
     B = effect_from_bloch(1.0, (0.0, SQRT3_INV, 0.0))
     return A, B
+
+
+def commuting_pair():
+    return effect_from_bloch(0.9, (0.0, 0.0, 0.9)), effect_from_bloch(0.8, (0.0, 0.0, 0.5))
+
+
+def on_curve_pair():
+    # (alpha, a, beta) = (0.6, 0.5, 1) with by on the restricted curve at bx = 0
+    cap = by_max(0.6, 0.5, 1.0, 0.0)
+    return effect_from_bloch(0.6, (0.5, 0.0, 0.0)), effect_from_bloch(1.0, (0.0, cap, 0.0))
+
+
+def scaled_projection_triples():
+    """(alpha, beta) of 30 seeded pairs whose first effect is a scaled projection (a = alpha)."""
+    rng = np.random.default_rng(2029)
+    return [(float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.3, 1.0))) for _ in range(30)]
+
+
+def assert_witness_valid(A, B):
+    wt = find_witness(A, B)
+    assert wt is not None
+    assert operator_inequalities_hold(A, B, wt).holds
 
 
 class TestOperatorInequalities:
@@ -117,8 +139,7 @@ class TestFindWitness:
         assert wt.gvec[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_commuting_pair_uses_product(self):
-        A = effect_from_bloch(0.9, (0.0, 0.0, 0.9))
-        B = effect_from_bloch(0.8, (0.0, 0.0, 0.5))
+        A, B = commuting_pair()
         wt = find_witness(A, B)
         assert wt.gamma == pytest.approx(0.5 * (0.9 * 0.8 + 0.9 * 0.5), abs=1e-12)
         expected = 0.5 * (0.9 * np.array([0.0, 0.0, 0.5]) + 0.8 * np.array([0.0, 0.0, 0.9]))
@@ -128,11 +149,8 @@ class TestFindWitness:
         assert np.allclose(effect_to_matrix(BlochEffect(wt.gamma, wt.gvec)), product, atol=1e-12)
 
     def test_restricted_boundary_point_coincident_crossing(self):
-        alpha, a, beta = 0.6, 0.5, 1.0
-        cap = by_max(alpha, a, beta, 0.0)
-        assert cap == pytest.approx(LIU_06_05, abs=1e-12)
-        A = effect_from_bloch(alpha, (a, 0.0, 0.0))
-        B = effect_from_bloch(beta, (0.0, cap, 0.0))
+        A, B = on_curve_pair()
+        assert B.avec[1] == pytest.approx(LIU_06_05, abs=1e-12)
         wt = find_witness(A, B)
         assert wt.gamma == pytest.approx(0.3, abs=1e-12)
         report = operator_inequalities_hold(A, B, wt)
@@ -187,6 +205,51 @@ class TestFindWitness:
             assert (wt is not None) == is_coexistent(A, B)
             if wt is not None:
                 assert operator_inequalities_hold(A, B, wt).holds
+
+    def test_closed_form_needs_no_grid_search(self, monkeypatch):
+        def no_grid_search(*args, **kwargs):
+            raise AssertionError("find_witness fell back to oracle_scan")
+
+        monkeypatch.setattr("qcoex.witness.oracle_scan", no_grid_search)
+        rng = np.random.default_rng(9)
+        pairs = [random_effect_pair(rng) for _ in range(300)]
+        pairs += [sic_pair(), commuting_pair(), on_curve_pair()]
+        for A, B in pairs:
+            if is_coexistent(A, B):
+                assert_witness_valid(A, B)
+
+    def test_near_junction_scaled_projections(self):
+        # bx just inside the junction b0 + w, where the restricted curve
+        # meets the full-length circle
+        checked = 0
+        for alpha, beta in scaled_projection_triples():
+            curve = boundary_curve(alpha, alpha, beta, n_samples=16)
+            if curve.b0 is None:
+                continue
+            A = effect_from_bloch(alpha, (alpha, 0.0, 0.0))
+            for k in range(6, 13):
+                bx = curve.b0 + curve.w - 10.0**-k
+                cap = by_max(alpha, alpha, beta, bx)
+                for by in (cap, 0.5 * cap, 1e-13):
+                    B = effect_from_bloch(beta, (bx, by, 0.0))
+                    if is_coexistent(A, B):
+                        assert_witness_valid(A, B)
+                        checked += 1
+        assert checked == 476
+
+    def test_near_tip_scaled_projections(self):
+        # b almost parallel to a = alpha at full length, where the gamma
+        # interval at the top is degenerate
+        checked = 0
+        for alpha, beta in scaled_projection_triples():
+            A = effect_from_bloch(alpha, (alpha, 0.0, 0.0))
+            for eps in (1e-13, 1e-14, 1e-15, 4e-16):
+                for by in (1e-8, 1e-9, 1e-10):
+                    B = effect_from_bloch(beta, (beta - eps, by, 0.0))
+                    if is_coexistent(A, B):
+                        assert_witness_valid(A, B)
+                        checked += 1
+        assert checked == 360
 
 
 class TestAssembleObservable:
