@@ -71,22 +71,22 @@ class BlochEffect:
         return max(a - self.alpha, self.alpha - (2.0 - a))
 
 
-def effect_from_bloch(alpha: float, avec, tol: float = VALIDITY_TOL) -> BlochEffect:
+def effect_from_bloch(alpha: float, avec) -> BlochEffect:
     """Validated effect from its trace coefficient and Bloch vector.
 
     Raises:
         InvalidEffectError: naming the bound that failed, when the parameters
-            violate ||avec|| <= alpha <= 2 - ||avec|| beyond ``tol``.
+            violate ||avec|| <= alpha <= 2 - ||avec|| beyond ``VALIDITY_TOL``.
     """
     effect = BlochEffect(alpha, avec)
     if not math.isfinite(effect.alpha) or not np.all(np.isfinite(effect.avec)):
         raise InvalidEffectError("effect parameters must be finite")
     a = effect.a
-    if effect.alpha < a - tol:
+    if effect.alpha < a - VALIDITY_TOL:
         raise InvalidEffectError(
             f"lower bound failed: alpha={effect.alpha!r} is below ||avec||={a!r}"
         )
-    if effect.alpha > 2.0 - a + tol:
+    if effect.alpha > 2.0 - a + VALIDITY_TOL:
         raise InvalidEffectError(
             f"upper bound failed: alpha={effect.alpha!r} exceeds 2 - ||avec||={2.0 - a!r}"
         )

@@ -25,7 +25,7 @@ from .bloch import (
 from .coexist import boundary_curve, classify
 from .oracle import DEFAULT_GRID, oracle_coexistent
 from .selftest import run_all
-from .witness import assemble_observable, find_witness, operator_inequalities_hold
+from .witness import assemble_observable, find_witness
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -143,12 +143,11 @@ def _witness_payload(A: BlochEffect, B: BlochEffect) -> dict | None:
     if wt is None:
         return None
     observable = assemble_observable(A, B, wt)
-    report = operator_inequalities_hold(A, B, wt)
     names = ("G1", "G2", "G3", "G4")
     return {
         "gamma": wt.gamma,
         "g": [float(v) for v in wt.gvec],
-        "residuals": list(report.residuals),
+        "residuals": list(observable.report.residuals),
         "effects": {name: _effect_payload(g) for name, g in zip(names, observable.effects())},
     }
 

@@ -44,7 +44,10 @@ ARC_CURVE = "curve"
 # allowed region is closed, so equalities count as coexistent.
 BOUNDARY_TOL = 1e-12
 _DOMAIN_TOL = 1e-12
-# boundary_curve evaluates by_max once per sample in Python.
+# Most negative square-root argument of the cap still taken as roundoff.
+_ROOT_TOL = 1e-9
+# Largest boundary_curve request: a curve is held in memory and printed by
+# the CLI in full (about 4 MB of CSV at this size).
 _MAX_SAMPLES = 100_000
 
 
@@ -54,8 +57,9 @@ class Verdict:
 
     ``b0`` and ``w`` (center and half-width of the direction interval that
     carries a nontrivial length restriction) are present exactly when
-    beta > 1 - S(A) and a > 0; ``by_max`` only in regime C3.
-    ``discriminant`` is the quantity under the square root defining ``w``.
+    beta > 1 - S(A) and a > 0: always in C2 and C3, never in C1, and in
+    TrivialParallel when that condition holds.  ``by_max``, the cap on by
+    at the pair's bx, is present only in regime C3.
     """
 
     coexistent: bool
@@ -64,17 +68,55 @@ class Verdict:
     b0: float | None = None
     w: float | None = None
     by_max: float | None = None
-    discriminant: float | None = None
 
 
-def _discriminant(alpha: float, a: float, beta: float) -> float:
+def _interval(alpha: float, a: float, beta: float) -> tuple[float, float]:
+    """Center b0 and half-width w of the restricted direction interval (a > 0)."""
     d = (1.0 - alpha) ** 2 - beta * ((1.0 - alpha) ** 2 + 1.0 - a * a) + beta * beta
     if d < -1e-10:
         # analytically impossible once beta exceeds the unsharpness threshold
         raise ArithmeticError(
             f"negative discriminant {d!r} for alpha={alpha!r}, a={a!r}, beta={beta!r}"
         )
-    return max(d, 0.0)
+    return (1.0 - alpha) * (1.0 - beta) / a, math.sqrt(max(d, 0.0)) / a
+
+
+def _restricted_interval(
+    alpha: float, a: float, beta: float, s: float
+) -> tuple[float, float] | None:
+    """(b0, w) when beta exceeds the unsharpness threshold 1 - S(A) and a > 0."""
+    if beta > 1.0 - s + BOUNDARY_TOL and a > 0.0:
+        return _interval(alpha, a, beta)
+    return None
+
+
+def _capped(bx, b0: float, w: float):
+    """Whether bx (a float, or elementwise an array) is in regime C3 rather than C2."""
+    return abs(bx - b0) < w - BOUNDARY_TOL
+
+
+def _root(q: float) -> float:
+    if q < -_ROOT_TOL:
+        raise ArithmeticError(f"square-root argument out of range: {q!r}")
+    return math.sqrt(max(q, 0.0))
+
+
+def _root_array(q: np.ndarray) -> np.ndarray:
+    if np.any(q < -_ROOT_TOL):
+        raise ArithmeticError(f"square-root argument out of range: {q.min()!r}")
+    return np.sqrt(np.maximum(q, 0.0))
+
+
+def _cap(alpha: float, a: float, beta: float, bx, b0: float, root=_root):
+    """Largest allowed by at direction component bx, with b0 from _interval.
+
+    ``bx`` is a float (``root=_root``, on math) or an array
+    (``root=_root_array``, on numpy).
+    """
+    t = a * (bx - b0)
+    q1 = ((2.0 - alpha) ** 2 - a * a) * (a * a - (t + (1.0 - beta)) ** 2)
+    q2 = (alpha * alpha - a * a) * (a * a - (t - (1.0 - beta)) ** 2)
+    return (root(q1) + root(q2)) / (2.0 * a)
 
 
 def classify(p: RelativePair) -> Verdict:
@@ -86,19 +128,16 @@ def classify(p: RelativePair) -> Verdict:
     conditions, with boundary equalities counting as coexistent.
     """
     s = sharpness_scalar(p.alpha, p.a)
-    b0 = w = disc = None
-    if p.beta > 1.0 - s + BOUNDARY_TOL and p.a > 0.0:
-        disc = _discriminant(p.alpha, p.a, p.beta)
-        b0 = (1.0 - p.alpha) * (1.0 - p.beta) / p.a
-        w = math.sqrt(disc) / p.a
+    interval = _restricted_interval(p.alpha, p.a, p.beta, s)
+    b0, w = interval or (None, None)
     if p.a == 0.0 or p.by == 0.0:
-        return Verdict(True, TRIVIAL_PARALLEL, s, b0, w, None, disc)
-    if b0 is None or w is None:
+        return Verdict(True, TRIVIAL_PARALLEL, s, b0, w)
+    if interval is None:
         return Verdict(True, C1, s)
-    if abs(p.bx - b0) >= w - BOUNDARY_TOL:
-        return Verdict(True, C2, s, b0, w, None, disc)
-    cap = by_max(p.alpha, p.a, p.beta, p.bx)
-    return Verdict(p.by <= cap + BOUNDARY_TOL, C3, s, b0, w, cap, disc)
+    if not _capped(p.bx, b0, w):
+        return Verdict(True, C2, s, b0, w)
+    cap = _cap(p.alpha, p.a, p.beta, p.bx, b0)
+    return Verdict(p.by <= cap + BOUNDARY_TOL, C3, s, b0, w, cap)
 
 
 def is_coexistent(A: BlochEffect, B: BlochEffect) -> bool:
@@ -124,21 +163,12 @@ def by_max(alpha: float, a: float, beta: float, bx: float) -> float:
         raise ValueError(
             f"by_max requires beta > 1 - S: beta={beta!r}, 1 - S={1.0 - s!r}"
         )
-    disc = _discriminant(alpha, a, beta)
-    b0 = (1.0 - alpha) * (1.0 - beta) / a
-    w = math.sqrt(disc) / a
+    b0, w = _interval(alpha, a, beta)
     if abs(bx - b0) > w + _DOMAIN_TOL:
         raise ValueError(
             f"bx={bx!r} outside the restricted interval [{b0 - w!r}, {b0 + w!r}]"
         )
-    t = a * (bx - b0)
-    q1 = ((2.0 - alpha) ** 2 - a * a) * (a * a - (t + (1.0 - beta)) ** 2)
-    q2 = (alpha * alpha - a * a) * (a * a - (t - (1.0 - beta)) ** 2)
-    if min(q1, q2) < -1e-9:
-        raise ArithmeticError(
-            f"square-root argument out of range: q1={q1!r}, q2={q2!r}"
-        )
-    return (math.sqrt(max(q1, 0.0)) + math.sqrt(max(q2, 0.0))) / (2.0 * a)
+    return _cap(alpha, a, beta, bx, b0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,28 +215,24 @@ def boundary_curve(
             f"n_samples must be between 16 and {_MAX_SAMPLES}, got {n_samples!r}"
         )
 
-    s = sharpness_scalar(alpha, a)
+    interval = _restricted_interval(alpha, a, beta, sharpness_scalar(alpha, a))
+    b0, w = interval or (None, None)
     xs = np.linspace(-beta, beta, n_samples)
-    restricted = beta > 1.0 - s + BOUNDARY_TOL and a > 0.0
-    b0 = w = None
-    if restricted:
-        disc = _discriminant(alpha, a, beta)
-        b0 = (1.0 - alpha) * (1.0 - beta) / a
-        w = math.sqrt(disc) / a
+    lo = hi = 0  # the capped samples: one run, since xs is sorted
+    if interval is not None:
         junctions = [x for x in (b0 - w, b0 + w) if -beta < x < beta]
         if junctions:
             xs = np.unique(np.concatenate([xs, np.asarray(junctions)]))
-
+        capped = np.flatnonzero(_capped(xs, b0, w))
+        if capped.size:
+            lo, hi = int(capped[0]), int(capped[-1]) + 1
     rs = np.full(xs.shape, float(beta))
-    tags = [ARC_CIRCLE] * xs.size
-    if restricted:
-        for i, x in enumerate(xs):
-            if abs(x - b0) < w - BOUNDARY_TOL:
-                rs[i] = math.hypot(x, by_max(alpha, a, beta, float(x)))
-                tags[i] = ARC_CURVE
+    if hi > lo:
+        rs[lo:hi] = np.hypot(xs[lo:hi], _cap(alpha, a, beta, xs[lo:hi], b0, _root_array))
+    tags = (ARC_CIRCLE,) * lo + (ARC_CURVE,) * (hi - lo) + (ARC_CIRCLE,) * (xs.size - hi)
     rs.setflags(write=False)
     xs.setflags(write=False)
-    return BoundaryCurve(alpha, a, beta, xs, rs, tuple(tags), b0, w)
+    return BoundaryCurve(alpha, a, beta, xs, rs, tags, b0, w)
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,16 @@ class Witness:
 
 @dataclass(frozen=True, eq=False)
 class WitnessObservable:
-    """Four effects with G1 + G2 = A, G1 + G3 = B and total sum the identity."""
+    """Four effects with G1 + G2 = A, G1 + G3 = B and total sum the identity.
+
+    ``report`` is the check of the operator constraints that admitted G1.
+    """
 
     g1: BlochEffect
     g2: BlochEffect
     g3: BlochEffect
     g4: BlochEffect
+    report: InequalityReport
 
     def effects(self) -> tuple[BlochEffect, BlochEffect, BlochEffect, BlochEffect]:
         return (self.g1, self.g2, self.g3, self.g4)
@@ -79,9 +83,7 @@ class InequalityReport:
     min_eigenvalues: tuple[float, float, float, float]
 
 
-def operator_inequalities_hold(
-    A: BlochEffect, B: BlochEffect, wt: Witness, tol: float = PSD_TOL
-) -> InequalityReport:
+def operator_inequalities_hold(A: BlochEffect, B: BlochEffect, wt: Witness) -> InequalityReport:
     """Check the four constraints making (gamma, gvec) a valid first outcome."""
     g = wt.gvec
     gamma = wt.gamma
@@ -100,7 +102,7 @@ def operator_inequalities_hold(
     eigenvalues = tuple(
         float(np.linalg.eigvalsh(effect_to_matrix(op))[0]) for op in operators
     )
-    holds = max(residuals) <= tol and min(eigenvalues) >= -tol
+    holds = max(residuals) <= PSD_TOL and min(eigenvalues) >= -PSD_TOL
     return InequalityReport(holds, residuals, eigenvalues)
 
 
@@ -288,4 +290,4 @@ def assemble_observable(A: BlochEffect, B: BlochEffect, wt: Witness) -> WitnessO
     g4 = BlochEffect(
         2.0 - A.alpha - B.alpha + wt.gamma, wt.gvec - A.avec - B.avec
     )
-    return WitnessObservable(g1, g2, g3, g4)
+    return WitnessObservable(g1, g2, g3, g4, report)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ PROJ_Z = '{"alpha": 1, "a": [0, 0, 1]}'
 PROJ_Y = '{"alpha": 1, "a": [0, 1, 0]}'
 FIG_A = '{"alpha": 0.6, "a": [0.5, 0, 0]}'
 FIG_B = '{"alpha": 0.6, "a": [0, 0.6, 0]}'
+
+# exact stdout of the README example `qcoex boundary` commands
+README_BOUNDARY = Path(__file__).parent / "data"
 
 # stdout of the README example `qcoex witness` command
 README_WITNESS_OUT = (
@@ -207,6 +211,21 @@ class TestBoundary:
         assert code == EXIT_USAGE
         assert out == ""
         assert "n_samples" in err
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["--preset", "fig1c"], "readme_boundary_fig1c.csv"),
+            (
+                ["--alpha", "0.6", "--a", "0.6", "--beta", "0.9", "--samples", "512", "--format", "json"],
+                "readme_boundary.json",
+            ),
+        ],
+    )
+    def test_readme_example_bytes(self, capsys, argv, expected):
+        code, out, _ = run(capsys, ["boundary", *argv])
+        assert code == EXIT_OK
+        assert out == (README_BOUNDARY / expected).read_text()
 
 
 class TestWitnessCommand:

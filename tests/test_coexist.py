@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoex.bloch import RelativePair, effect_from_bloch
+from qcoex.bloch import RelativePair, effect_from_bloch, relative_pair
 from qcoex.coexist import (
     ARC_CIRCLE,
     ARC_CURVE,
@@ -21,6 +21,7 @@ from qcoex.coexist import (
     is_coexistent,
     special_case_verdict,
 )
+from qcoex.oracle import random_effect_pair
 
 # Independently computed with 40-digit arithmetic.
 S_06_05 = 0.3281475155779856
@@ -40,6 +41,40 @@ def canonical_pairs():
     pos = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
     unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
     return st.builds(build, pos, unit, pos, unit, unit)
+
+
+def restricted_triples(seed, n_random, n_sharp):
+    """Seeded (alpha, a, beta) with a restricted interval, from random_effect_pair and near-sharp draws."""
+    rng = np.random.default_rng(seed)
+    from_pairs, sharp = [], []
+    while len(from_pairs) < n_random:
+        p, _ = relative_pair(*random_effect_pair(rng))
+        if classify(p).b0 is not None:
+            from_pairs.append((p.alpha, p.a, p.beta))
+    while len(sharp) < n_sharp:
+        alpha = 1.0 - 0.9 * rng.random() ** 2
+        a = alpha * (1.0 - 0.1 * rng.random())
+        beta = 1.0 - 0.9 * rng.random() ** 2
+        if classify(RelativePair(alpha, a, beta, 0.0, 0.0)).b0 is not None:
+            sharp.append((alpha, a, beta))
+    return from_pairs + sharp
+
+
+def looped_curve(alpha, a, beta, n):
+    """The boundary one scalar by_max call per sample: the reference for the array path."""
+    disc = (1.0 - alpha) ** 2 - beta * ((1.0 - alpha) ** 2 + 1.0 - a * a) + beta * beta
+    b0 = (1.0 - alpha) * (1.0 - beta) / a
+    w = math.sqrt(max(disc, 0.0)) / a
+    xs = np.linspace(-beta, beta, n)
+    junctions = [x for x in (b0 - w, b0 + w) if -beta < x < beta]
+    if junctions:
+        xs = np.unique(np.concatenate([xs, junctions]))
+    tags, rs = [], []
+    for x in xs.tolist():
+        on_curve = abs(x - b0) < w - 1e-12
+        tags.append(ARC_CURVE if on_curve else ARC_CIRCLE)
+        rs.append(math.hypot(x, by_max(alpha, a, beta, x)) if on_curve else beta)
+    return xs, np.array(rs), tuple(tags), b0, w
 
 
 class TestClassify:
@@ -255,6 +290,31 @@ class TestBoundaryCurve:
     def test_rejects_too_many_samples(self):
         with pytest.raises(ValueError, match="n_samples"):
             boundary_curve(0.6, 0.5, 0.9, 100_001)
+
+    @pytest.mark.parametrize("n,per_source", [(16, 100), (256, 50), (100_000, 1)])
+    def test_array_path_matches_scalar_loop(self, n, per_source):
+        junction_curves = 0
+        for alpha, a, beta in restricted_triples(n, per_source, per_source):
+            curve = boundary_curve(alpha, a, beta, n)
+            xs, rs, tags, b0, w = looped_curve(alpha, a, beta, n)
+            assert np.array_equal(curve.bx, xs)
+            assert curve.regime == tags
+            assert (curve.b0, curve.w) == (b0, w)
+            curve_r = np.array([t == ARC_CURVE for t in tags])
+            assert np.all(curve.r[~curve_r] == beta)
+            # numpy's square and hypot may round differently from math's
+            assert np.all(np.abs(curve.r[curve_r] - rs[curve_r]) <= 1e-15 * rs[curve_r])
+            junction_curves += xs.size > n
+        assert junction_curves > 0
+
+    def test_curve_needs_no_scalar_by_max(self, monkeypatch):
+        def no_scalar_cap(*args):
+            raise AssertionError("by_max called for a boundary sample")
+
+        monkeypatch.setattr("qcoex.coexist.by_max", no_scalar_cap)
+        curve = boundary_curve(0.6, 0.5, 0.9, 256)
+        assert curve.regime.count(ARC_CURVE) > 100
+        assert classify(RelativePair(0.6, 0.5, 0.9, 0.1, 0.3)).regime == C3
 
 
 class TestSpecialCases:

@@ -284,6 +284,11 @@ class TestAssembleObservable:
             for g in obs.effects():
                 assert g.validity_residual() <= 1e-9
 
+    def test_carries_the_check_that_admitted_it(self):
+        A, B = sic_pair()
+        wt = find_witness(A, B)
+        assert assemble_observable(A, B, wt).report == operator_inequalities_hold(A, B, wt)
+
     def test_rejects_witness_violating_constraints(self):
         A = effect_from_bloch(0.6, (0.5, 0.0, 0.0))
         B = effect_from_bloch(0.6, (0.0, 0.6, 0.0))
