@@ -32,10 +32,8 @@ from .coexist import (
 from .oracle import (
     DiskSystem,
     OracleResult,
-    SweepReport,
     disks_at,
     disks_feasible,
-    oracle_agreement_sweep,
     oracle_coexistent,
     oracle_scan,
     random_effect,
@@ -63,7 +61,6 @@ __all__ = [
     "ReductionReport",
     "RelativePair",
     "SpecialCaseVerdict",
-    "SweepReport",
     "Verdict",
     "Witness",
     "WitnessObservable",
@@ -81,7 +78,6 @@ __all__ = [
     "gamma_interval_2ci",
     "is_coexistent",
     "operator_inequalities_hold",
-    "oracle_agreement_sweep",
     "oracle_coexistent",
     "oracle_scan",
     "random_effect",

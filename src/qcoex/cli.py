@@ -232,6 +232,12 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.samples < 1:
+        raise SpecError(f"selftest: --samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise SpecError(f"selftest: --seed must be non-negative, got {args.seed}")
+    if args.grid < 100:
+        raise SpecError(f"selftest: --grid must be at least 100, got {args.grid}")
     results = run_all(args.samples, args.seed, oracle_grid=args.grid)
     all_pass = True
     for res in results:

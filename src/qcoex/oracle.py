@@ -2,27 +2,27 @@
 
 A pair is coexistent exactly when, for some admissible gamma, the four planar
 disks encoding the operator constraints on the shared first outcome have a
-common point.  The feasibility test per gamma is exact and finite, so the
-oracle is independent of the closed-form classification.
+common point.  The feasibility test per gamma is exact and finite: the
+smallest largest violation over the four disks is attained at a disk
+center, at a balance point between two centers or at a triple point where
+three violations are equal, and only these candidates are built.  The
+oracle shares no formulas with the closed-form classification.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import BlochEffect, RelativePair, relative_pair
-from .coexist import classify
 
 __all__ = [
     "DiskSystem",
     "OracleResult",
-    "SweepReport",
     "disks_at",
     "disks_feasible",
-    "oracle_agreement_sweep",
     "oracle_coexistent",
     "oracle_scan",
     "point_violation",
@@ -31,15 +31,11 @@ __all__ = [
 ]
 
 MEMBERSHIP_SLACK = 1e-12
-BOUNDARY_BAND = 1e-6
 ENDPOINT_TOL = 1e-10
 DEFAULT_GRID = 10_000
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-# Overlap brackets are widened so near-tangent candidate points are still
-# generated; the membership slack remains the arbiter of feasibility.
-_BRACKET_TOL = 1e-9
 # Grid gammas per kernel call, which bounds the kernel's temporaries.
 _CHUNK = 2048
 # A refinement step samples each bracket at the ends of _CELLS equal cells.
@@ -99,12 +95,17 @@ def point_violation(d: DiskSystem, point) -> float:
 def _minimax(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest max violation over the candidate points, one disk system per column.
 
-    ``centers`` is (4, 2) and ``radii`` (4, m).  The candidates are the 4
-    centers, the 12 circle crossings, the 6 pair balance points (two signed
-    violations equal) and the 8 triple points (three equal).  The minimizer
-    of the max violation has one, two or three active constraints, so it is
-    a center, a balance point or a triple point: the minimum found is the
-    exact minimax, and the system is feasible exactly when it is <= 0.
+    ``centers`` is (4, 2) and ``radii`` (4, m).  Each violation
+    ``||g - c_i|| - r_i`` is convex in g, so at a minimizer of their maximum
+    0 lies in the convex hull of the active violations' gradients.  Away
+    from the centers these are unit vectors pointing from each center to
+    the minimizer, and 0 lies in the hull of two of them (opposite, so the
+    minimizer is the balance point on the segment between their centers,
+    where the two violations are equal) or of three (a triple point, where
+    three are equal; collinear centers reduce to the two-vector case).  The
+    candidates are therefore the 4 centers, the 6 balance points and the 8
+    triple points: the minimum found is the exact minimax, and the system
+    is feasible exactly when it is <= 0.
     Returns that minimum, shape (m,), and the point attaining it, (m, 2).
     """
     m = radii.shape[1]
@@ -117,24 +118,9 @@ def _minimax(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.nda
             d = float(np.linalg.norm(cj - ci))
             if d == 0.0:
                 continue
-            ri = radii[i]
-            rj = radii[j]
             ex = (cj - ci) / d
-            # circle crossings; NaN where the circles miss each other
-            ok = (
-                (ri >= 0.0)
-                & (rj >= 0.0)
-                & (d <= ri + rj + _BRACKET_TOL)
-                & (d >= np.abs(ri - rj) - _BRACKET_TOL)
-            )
-            t = np.where(ok, (ri * ri - rj * rj + d * d) / (2.0 * d), np.nan)
-            h = np.sqrt(np.clip(ri * ri - t * t, 0.0, None))
-            mx = ci[0] + t * ex[0]
-            my = ci[1] + t * ex[1]
-            xs += [mx + h * -ex[1], mx - h * -ex[1]]
-            ys += [my + h * ex[0], my - h * ex[0]]
             # balance point on the segment between the centers
-            s = (d + ri - rj) / 2.0
+            s = (d + radii[i] - radii[j]) / 2.0
             xs.append(ci[0] + s * ex[0])
             ys.append(ci[1] + s * ex[1])
 
@@ -328,64 +314,3 @@ def random_effect(rng: np.random.Generator) -> BlochEffect:
 def random_effect_pair(rng: np.random.Generator) -> tuple[BlochEffect, BlochEffect]:
     """Two independent random effects; reproducible from the generator state."""
     return random_effect(rng), random_effect(rng)
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    """Aggregate of an oracle-vs-classification agreement sweep.
-
-    Instances whose oracle margin is within ``band`` of zero are counted as
-    ``boundary_band`` and excluded from the strict comparison.
-    """
-
-    n: int
-    seed: int
-    grid: int
-    band: float
-    compared: int
-    boundary_band: int
-    disagreements: int
-    min_abs_margin: float
-    examples: tuple = field(default=())
-
-
-def oracle_agreement_sweep(
-    n: int,
-    seed: int,
-    grid: int = DEFAULT_GRID,
-    band: float = BOUNDARY_BAND,
-) -> SweepReport:
-    """Compare the oracle against the closed-form classification on random pairs."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
-    rng = np.random.default_rng(seed)
-    compared = 0
-    boundary = 0
-    disagreements = 0
-    min_abs_margin = math.inf
-    examples: list[tuple] = []
-    for _ in range(n):
-        A, B = random_effect_pair(rng)
-        pair, _ = relative_pair(A, B)
-        result = oracle_scan(pair, grid)
-        verdict = classify(pair)
-        if abs(result.margin) < band:
-            boundary += 1
-            continue
-        compared += 1
-        min_abs_margin = min(min_abs_margin, abs(result.margin))
-        if result.coexistent != verdict.coexistent:
-            disagreements += 1
-            if len(examples) < 8:
-                examples.append((pair, verdict.coexistent, result.coexistent, result.margin))
-    return SweepReport(
-        n=n,
-        seed=seed,
-        grid=grid,
-        band=band,
-        compared=compared,
-        boundary_band=boundary,
-        disagreements=disagreements,
-        min_abs_margin=min_abs_margin,
-        examples=tuple(examples),
-    )

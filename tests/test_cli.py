@@ -265,6 +265,16 @@ class TestSelftest:
         assert "selftest: PASS" in out
         assert out.count("violations=0") >= 6
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--samples", "-3"), ("--seed", "-1"), ("--grid", "10")],
+    )
+    def test_bad_argument_is_an_input_error(self, capsys, option, value):
+        code, out, err = run(capsys, ["selftest", option, value])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: selftest: {option} must be ")
+
 
 class TestDeterminism:
     def test_repeated_invocations_byte_identical(self, capsys):

@@ -11,15 +11,16 @@ from qcoex.oracle import (
     ENDPOINT_TOL,
     MEMBERSHIP_SLACK,
     DiskSystem,
+    _minimax,
     disks_at,
     disks_feasible,
-    oracle_agreement_sweep,
     oracle_coexistent,
     oracle_scan,
     point_violation,
     random_effect,
     random_effect_pair,
 )
+from qcoex.selftest import suite_oracle_agreement
 from qcoex.witness import gamma_interval_2ci
 
 SQRT3_INV = 1.0 / math.sqrt(3.0)
@@ -85,6 +86,41 @@ class TestCircleIntersections:
     def test_concentric(self):
         d = two_disks((0.0, 0.0), 1.0, (0.0, 0.0), 1.0)
         assert point_violation(d, disks_feasible(d)) <= MEMBERSHIP_SLACK
+
+
+def rounded_disk_systems(rng, parallelogram: bool, n_centers: int, n_radii: int):
+    """Seeded (centers, radii) draws; coordinates and radii on a 0.1 lattice.
+
+    The lattice makes tangent, coincident and concentric circles and
+    collinear centers common, and the radii include negative ones.
+    """
+    for _ in range(n_centers):
+        if parallelogram:
+            a, bx, by = np.round(rng.uniform(-1.0, 1.0, 3), 1)
+            centers = np.array([[0.0, 0.0], [a, 0.0], [bx, by], [a + bx, by]])
+        else:
+            centers = np.round(rng.uniform(-1.0, 1.0, (4, 2)), 1)
+        yield centers, np.round(rng.uniform(-0.3, 1.5, (4, n_radii)), 1)
+
+
+class TestMinimaxKernel:
+    @pytest.mark.parametrize("parallelogram", [True, False])
+    def test_minimum_is_exact(self, parallelogram):
+        # the returned value is the max violation at the returned point, and
+        # no point of a dense grid over the centers' bounding box (which
+        # holds a minimizer) does better
+        rng = np.random.default_rng(7 if parallelogram else 8)
+        side = np.linspace(0.0, 1.0, 201)
+        for centers, radii in rounded_disk_systems(rng, parallelogram, 150, 8):
+            values, points = _minimax(centers, radii)
+            lo, hi = centers.min(axis=0), centers.max(axis=0)
+            gx, gy = np.meshgrid(lo[0] + (hi[0] - lo[0]) * side, lo[1] + (hi[1] - lo[1]) * side)
+            dist = np.stack([np.hypot(gx - cx, gy - cy).ravel() for cx, cy in centers])
+            for col in range(radii.shape[1]):
+                d = DiskSystem(centers, radii[:, col], 0.0)
+                assert abs(values[col] - point_violation(d, points[col])) <= 1e-15
+                grid_best = (dist - radii[:, col, None]).max(axis=0).min()
+                assert grid_best >= values[col] - 1e-12
 
 
 class TestDisksFeasible:
@@ -260,18 +296,18 @@ class TestRandomGeneration:
 
 class TestAgreementSweep:
     def test_small_sweep_agrees(self):
-        report = oracle_agreement_sweep(60, seed=41, grid=1500)
-        assert report.disagreements == 0
-        assert report.compared + report.boundary_band == 60
+        result = suite_oracle_agreement(60, seed=41, grid=1500)
+        assert result.violations == 0
+        assert result.checked + result.skipped == 60
 
     def test_deterministic(self):
-        r1 = oracle_agreement_sweep(20, seed=5, grid=500)
-        r2 = oracle_agreement_sweep(20, seed=5, grid=500)
+        r1 = suite_oracle_agreement(20, seed=5, grid=500)
+        r2 = suite_oracle_agreement(20, seed=5, grid=500)
         assert r1 == r2
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError):
-            oracle_agreement_sweep(0, seed=1)
+            suite_oracle_agreement(0, seed=1)
 
     def test_injected_noncommuting_projections_agree_on_false(self):
         p = RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)
