@@ -42,6 +42,7 @@ from .oracle import (
 from .witness import (
     InequalityReport,
     Witness,
+    WitnessError,
     WitnessObservable,
     assemble_observable,
     find_witness,
@@ -63,6 +64,7 @@ __all__ = [
     "SpecialCaseVerdict",
     "Verdict",
     "Witness",
+    "WitnessError",
     "WitnessObservable",
     "assemble_observable",
     "boundary_curve",

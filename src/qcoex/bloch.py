@@ -225,8 +225,11 @@ def relative_pair(A: BlochEffect, B: BlochEffect) -> tuple[RelativePair, Reducti
     a = first.a
     b = second.a
     if a > 0.0:
-        bx = float(np.dot(first.avec, second.avec)) / a
-        by = math.sqrt(max(b * b - bx * bx, 0.0))
+        (ax, ay, az), (qx, qy, qz) = first.avec.tolist(), second.avec.tolist()
+        bx = (ax * qx + ay * qy + az * qz) / a
+        # ||a x b|| / a keeps its digits for nearly parallel vectors, where
+        # sqrt(b^2 - bx^2) cancels to 0
+        by = math.hypot(ay * qz - az * qy, az * qx - ax * qz, ax * qy - ay * qx) / a
     else:
         bx = b
         by = 0.0

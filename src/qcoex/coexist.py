@@ -58,8 +58,10 @@ class Verdict:
     ``b0`` and ``w`` (center and half-width of the direction interval that
     carries a nontrivial length restriction) are present exactly when
     beta > 1 - S(A) and a > 0: always in C2 and C3, never in C1, and in
-    TrivialParallel when that condition holds.  ``by_max``, the cap on by
-    at the pair's bx, is present only in regime C3.
+    TrivialParallel when that condition holds.  ``by_max`` is present only
+    in regime C3: the cap on by at the pair's bx, or, for a pair past a
+    junction that lies between the centre and its tip, the circle's height
+    at that junction.
     """
 
     coexistent: bool
@@ -90,9 +92,16 @@ def _restricted_interval(
     return None
 
 
-def _capped(bx, b0: float, w: float):
-    """Whether bx (a float, or elementwise an array) is in regime C3 rather than C2."""
-    return abs(bx - b0) < w - BOUNDARY_TOL
+def _tip_gap(alpha: float, a: float, beta: float, b0: float, w: float, side: float) -> float:
+    """Distance beta - side * j of the junction j = b0 + side * w from its tip side * beta.
+
+    ``side`` is +1 or -1.  The product form keeps its digits when the
+    junction sits at the tip, where beta - |j| cancels.
+    """
+    return (
+        beta * (1.0 - beta) * (alpha - side * a) * (2.0 - alpha + side * a)
+        / (a * a * (beta - side * b0 + w))
+    )
 
 
 def _root(q: float) -> float:
@@ -126,6 +135,13 @@ def classify(p: RelativePair) -> Verdict:
     0 <= alpha, beta <= 1 and by >= 0).  Parallel or trivial pairs commute
     and are always coexistent; otherwise the decision follows the regime
     conditions, with boundary equalities counting as coexistent.
+
+    C3 is the closed interval |bx - b0| <= w, tested as distances from the
+    tips +-beta, which keep their digits where a junction sits at a tip
+    (scaled projections, the limit of near-parallel vectors).  Past a
+    junction on the tip side of the centre the circle is no higher than at
+    the junction, so such a pair is C2 only when by is at most that height;
+    otherwise it is C3 and not coexistent.
     """
     s = sharpness_scalar(p.alpha, p.a)
     interval = _restricted_interval(p.alpha, p.a, p.beta, s)
@@ -134,10 +150,18 @@ def classify(p: RelativePair) -> Verdict:
         return Verdict(True, TRIVIAL_PARALLEL, s, b0, w)
     if interval is None:
         return Verdict(True, C1, s)
-    if not _capped(p.bx, b0, w):
-        return Verdict(True, C2, s, b0, w)
-    cap = _cap(p.alpha, p.a, p.beta, p.bx, b0)
-    return Verdict(p.by <= cap + BOUNDARY_TOL, C3, s, b0, w, cap)
+    # the pair and the junctions measured from the tips +beta and -beta
+    gap_hi = _tip_gap(p.alpha, p.a, p.beta, b0, w, 1.0)
+    gap_lo = _tip_gap(p.alpha, p.a, p.beta, b0, w, -1.0)
+    if p.beta - p.bx >= gap_hi and p.beta + p.bx >= gap_lo:
+        cap = _cap(p.alpha, p.a, p.beta, p.bx, b0)
+        return Verdict(p.by <= cap + BOUNDARY_TOL, C3, s, b0, w, cap)
+    gap = gap_hi if p.beta - p.bx < gap_hi else gap_lo
+    if gap < p.beta:  # past a junction on the tip side of the centre
+        height = math.sqrt(max(gap, 0.0) * (2.0 * p.beta - gap))
+        if p.by > height + BOUNDARY_TOL:
+            return Verdict(False, C3, s, b0, w, height)
+    return Verdict(True, C2, s, b0, w)
 
 
 def is_coexistent(A: BlochEffect, B: BlochEffect) -> bool:
@@ -223,7 +247,8 @@ def boundary_curve(
         junctions = [x for x in (b0 - w, b0 + w) if -beta < x < beta]
         if junctions:
             xs = np.unique(np.concatenate([xs, np.asarray(junctions)]))
-        capped = np.flatnonzero(_capped(xs, b0, w))
+        # strictly inside: the junction samples stay on the circle
+        capped = np.flatnonzero(np.abs(xs - b0) < w - BOUNDARY_TOL)
         if capped.size:
             lo, hi = int(capped[0]), int(capped[-1]) + 1
     rs = np.full(xs.shape, float(beta))

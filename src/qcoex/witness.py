@@ -7,7 +7,7 @@ joint observable is then (G1, A - G1, B - G1, 1 + G1 - A - B).
 One closed form builds G1 in the reduced pair's plane: the operator product
 for commuting pairs, and otherwise a mixture of the witness at the top of the
 allowed region (same bx, largest allowed by) with the commuting partner at
-by = 0.  The oracle's certificate is the only fallback.
+by = 0.  Nothing here calls the oracle, so the two check each other.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import numpy as np
 
 from .bloch import BlochEffect, RelativePair, complement, effect_to_matrix, relative_pair
 from .coexist import C3, Verdict, classify
-from .oracle import oracle_scan
 
 __all__ = [
     "InequalityReport",
     "Witness",
+    "WitnessError",
     "WitnessObservable",
     "assemble_observable",
     "find_witness",
@@ -33,6 +33,10 @@ __all__ = [
 
 PSD_TOL = 1e-9
 _FULL_LENGTH_TOL = 1e-9
+
+
+class WitnessError(RuntimeError):
+    """Raised when a pair classified coexistent gets no valid witness."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,17 +118,17 @@ def gamma_interval_2ci(p: RelativePair) -> tuple[float, float] | None:
     when the pair is not coexistent at full length.
 
     Raises:
-        ValueError: off the b = beta domain, or in the degenerate case of
-            (anti)parallel vectors with a = alpha (use the commuting
-            construction instead).
+        ValueError: off the b = beta domain, or where a bound divides by 0:
+            b parallel to a = alpha, or antiparallel sharp projections.
     """
     b = p.b
     if abs(b - p.beta) > _FULL_LENGTH_TOL:
         raise ValueError(f"requires ||b|| = beta: got b={b!r}, beta={p.beta!r}")
-    dot = p.a * p.bx
-    den_hi = p.alpha * p.beta - dot
+    # alpha beta - a bx as a sum of terms that keep their digits when b is
+    # nearly parallel to a = alpha
+    den_hi = p.alpha * (p.beta - p.bx) + (p.alpha - p.a) * p.bx
     den_lo = den_hi - 2.0 * p.beta
-    if abs(den_hi) < 1e-14 or abs(den_lo) < 1e-14:
+    if den_hi == 0.0 or den_lo == 0.0:
         raise ValueError("degenerate parallel case with a = alpha")
     g_hi = 0.5 * p.beta * (p.alpha * p.alpha - p.a * p.a) / den_hi
     g_lo = (
@@ -147,11 +151,19 @@ def _commuting_witness(p: RelativePair) -> tuple[float, float, float]:
     return gamma, gx, 0.0
 
 
-def _full_length_witness(p: RelativePair) -> tuple[float, float, float] | None:
-    interval = gamma_interval_2ci(p)
-    if interval is None:
-        return None
-    gamma = 0.5 * (interval[0] + interval[1])
+def _full_length_witness(p: RelativePair) -> tuple[float, float, float]:
+    # G1 = gamma (1 + b.sigma / beta) / 2 makes G1 >= 0 and G1 <= B tight at
+    # full length; gamma gives G1 <= A and 1 + G1 >= A + B equal slack in
+    # |centre distance|^2 - radius^2.  That point lies in gamma_interval_2ci
+    # when the interval is nonempty, and it needs no division, so it keeps
+    # its digits where the interval's bounds do not (b nearly parallel to a)
+    gamma = 0.25 * (
+        (p.alpha - p.a) * (p.alpha + p.a)
+        + (p.a + p.bx) ** 2
+        + p.by * p.by
+        - (2.0 - p.alpha - p.beta) ** 2
+    )
+    gamma = min(max(gamma, 0.0), p.alpha, p.beta)
     b = p.b
     return gamma, gamma * p.bx / b, gamma * p.by / b
 
@@ -160,7 +172,14 @@ def _curve_witness(p: RelativePair) -> tuple[float, float, float]:
     # coincident circle-crossing point on the restricted boundary
     gamma = 0.5 * (p.a * p.bx + p.alpha * p.beta - 2.0 * (1.0 - p.alpha) * (1.0 - p.beta))
     gx = (p.alpha * (2.0 * gamma - p.alpha) + p.a * p.a) / (2.0 * p.a)
-    gy = math.sqrt(max(gamma * gamma - gx * gx, 0.0))
+    # gamma - gx = (alpha - a)(alpha + a - 2 gamma) / (2a), with alpha + a - 2 gamma
+    # as a sum of terms that keeps its digits at the tip bx = beta
+    below = (
+        (p.alpha - p.a)
+        * (p.a * (p.beta - p.bx) + (1.0 - p.beta) * (2.0 - p.alpha + p.a))
+        / (2.0 * p.a)
+    )
+    gy = math.sqrt(max(below * (gamma + gx), 0.0))
     return gamma, gx, gy
 
 
@@ -168,36 +187,25 @@ def _mix(w1, w2, lam: float) -> tuple[float, float, float]:
     return tuple(lam * x + (1.0 - lam) * y for x, y in zip(w1, w2))
 
 
-def _closed_form(p: RelativePair, verdict: Verdict) -> tuple[float, float, float] | None:
-    """Witness in the canonical plane (see find_witness), or None when it degenerates.
+def _closed_form(p: RelativePair, verdict: Verdict) -> tuple[float, float, float]:
+    """Witness in the canonical plane (see find_witness).
 
     Every constraint is linear in (G1, A, B) jointly, so mixing the witnesses
     of the top pair and of its by = 0 partner gives one for the pair between.
     """
     if p.a == 0.0 or p.by == 0.0:
         return _commuting_witness(p)
-    if verdict.regime == C3:
-        top, top_witness = verdict.by_max, _curve_witness
-    else:
-        top, top_witness = math.sqrt(max(p.beta * p.beta - p.bx * p.bx, 0.0)), _full_length_witness
-    if top <= 0.0:
-        return None
-    try:
-        candidate = top_witness(RelativePair(p.alpha, p.a, p.beta, p.bx, top))
-    except ValueError:  # the degenerate (anti)parallel case of gamma_interval_2ci
-        return None
-    if candidate is None:
-        return None
     partner = _commuting_witness(RelativePair(p.alpha, p.a, p.beta, p.bx, 0.0))
-    return _mix(candidate, partner, p.by / top)
-
-
-def _oracle_certificate(p: RelativePair, verdict: Verdict) -> tuple[float, float, float] | None:
-    # grid search, called with the closed form's signature; verdict is unused
-    result = oracle_scan(p, grid=4000)
-    if result.coexistent and result.point is not None and result.gamma is not None:
-        return result.gamma, result.point[0], result.point[1]
-    return None
+    if verdict.regime == C3:
+        top = verdict.by_max
+        if top <= 0.0:
+            return partner
+        candidate = _curve_witness(RelativePair(p.alpha, p.a, p.beta, p.bx, top))
+    else:
+        # a pair above the circle by roundoff is its own top
+        top = max(math.sqrt(max((p.beta - p.bx) * (p.beta + p.bx), 0.0)), p.by)
+        candidate = _full_length_witness(RelativePair(p.alpha, p.a, p.beta, p.bx, top))
+    return _mix(candidate, partner, min(p.by / top, 1.0))
 
 
 def _any_unit_perpendicular(u: np.ndarray) -> np.ndarray:
@@ -224,23 +232,27 @@ def _plane_basis(avec: np.ndarray, bvec: np.ndarray) -> tuple[np.ndarray, np.nda
 def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
     """Explicit first outcome certifying coexistence; None when not coexistent.
 
-    At most two candidates are checked with :func:`operator_inequalities_hold`.
-    The first is the closed form: the commuting product when a = 0 or by = 0,
-    else by raised at fixed bx to the allowed top (``verdict.by_max`` in
-    regime C3, the full-length circle sqrt(beta^2 - bx^2) otherwise), whose
-    witness (the coincident crossing point on the curve, the gamma-interval
-    midpoint on the circle) is mixed with the commuting partner at by = 0
-    with weight by / top.  When that yields nothing (top = 0, an empty or
-    degenerate gamma interval, or a candidate failing the check), the second
-    is the certificate of ``oracle_scan(pair, grid=4000)``.
+    Builds one candidate in closed form and checks it with
+    :func:`operator_inequalities_hold`.  It is the commuting product when
+    a = 0 or by = 0.  Otherwise by is raised at fixed bx to the allowed top:
+    ``verdict.by_max`` in regime C3, the full-length circle
+    sqrt(beta^2 - bx^2) elsewhere, where a pair above the circle by roundoff
+    is its own top, moved onto the circle at its by.  The witness at the top
+    is mixed with the commuting partner at by = 0 with weight
+    min(by / top, 1); a top of 0 leaves the partner.  On the curve the top's
+    witness is the coincident crossing point.  On the circle it points along
+    b, with G1 >= 0 and G1 <= B tight and with equal slack for G1 <= A and
+    1 + G1 >= A + B; that gamma lies in :func:`gamma_interval_2ci` whenever
+    the interval is nonempty, and it takes no division, so b parallel to
+    a = alpha needs no case of its own.
 
     The construction works in the reduced pair's plane and is mapped back
     through the complement relabeling recorded by the reduction, so inputs
     with trace coefficients above 1 are handled transparently.
 
     Raises:
-        AssertionError: when the pair is classified coexistent but neither
-            candidate passes.
+        WitnessError: when the pair is classified coexistent but the
+            candidate fails the check, an internal failure.
     """
     pair, report = relative_pair(A, B)
     verdict = classify(pair)
@@ -249,25 +261,23 @@ def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
     a_eff = complement(A) if report.complemented_a else A
     b_eff = complement(B) if report.complemented_b else B
     e1, e2 = _plane_basis(a_eff.avec, b_eff.avec)
-    for construct in (_closed_form, _oracle_certificate):
-        planar = construct(pair, verdict)
-        if planar is None:
-            continue
-        gamma, gx, gy = planar
-        g = float(gamma)
-        v = gx * e1 + gy * e2
-        if report.complemented_b:
-            # swap outcomes (1,2) and (3,4): new first outcome is A' - G1
-            g, v = a_eff.alpha - g, a_eff.avec - v
-        if report.complemented_a:
-            # swap outcomes (1,3) and (2,4): new first outcome is B - G1
-            g, v = B.alpha - g, B.avec - v
-        wt = Witness(g, v)
-        if operator_inequalities_hold(A, B, wt).holds:
-            return wt
-    raise AssertionError(
-        "pair classified coexistent but every witness construction failed"
-    )
+    gamma, gx, gy = _closed_form(pair, verdict)
+    g = float(gamma)
+    v = gx * e1 + gy * e2
+    if report.complemented_b:
+        # swap outcomes (1,2) and (3,4): new first outcome is A' - G1
+        g, v = a_eff.alpha - g, a_eff.avec - v
+    if report.complemented_a:
+        # swap outcomes (1,3) and (2,4): new first outcome is B - G1
+        g, v = B.alpha - g, B.avec - v
+    wt = Witness(g, v)
+    check = operator_inequalities_hold(A, B, wt)
+    if not check.holds:
+        raise WitnessError(
+            "pair classified coexistent but its witness fails the operator "
+            f"constraints: residuals={check.residuals}"
+        )
+    return wt
 
 
 def assemble_observable(A: BlochEffect, B: BlochEffect, wt: Witness) -> WitnessObservable:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from qcoex.cli import EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, PRESETS, dumps, main
+from qcoex.witness import WitnessError
 
 SQRT3_INV = 1.0 / math.sqrt(3.0)
 
@@ -149,16 +150,27 @@ class TestDecideErrors:
         assert out == ""
         assert "finite" in err
 
-    @pytest.mark.parametrize("angle", [1e-6, 1e-7])
-    def test_internal_failure_has_its_own_exit_code(self, capsys, angle):
-        # near-parallel sharp projections: the witness search raises, which
-        # must not read as "not coexistent"
+    @pytest.mark.parametrize("angle", [1e-6, 1e-7, 1e-8])
+    def test_turned_sharp_projection_is_not_coexistent(self, capsys, angle):
+        # near-parallel sharp projections do not commute: exit 1, no witness
         turned = json.dumps({"alpha": 1, "a": [math.cos(angle), math.sin(angle), 0]})
         code, out, err = run(capsys, ["decide", '{"alpha": 1, "a": [1, 0, 0]}', turned, "--witness"])
+        assert code == EXIT_NEGATIVE
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["coexistent"] is False
+        assert payload["witness"] is None
+
+    def test_internal_failure_has_its_own_exit_code(self, capsys, monkeypatch):
+        # a failure inside the library must not read as "not coexistent"
+        def broken(*args, **kwargs):
+            raise WitnessError("no witness")
+
+        monkeypatch.setattr("qcoex.cli.find_witness", broken)
+        code, out, err = run(capsys, ["decide", FIG_A, FIG_B, "--witness"])
         assert code == EXIT_INTERNAL
         assert out == ""
-        assert err.startswith("error: internal: ")
-        assert len(err.splitlines()) == 1
+        assert err == "error: internal: WitnessError: no witness\n"
 
 
 class TestBoundary:

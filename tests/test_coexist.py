@@ -126,16 +126,27 @@ class TestClassify:
         assert v.coexistent
 
     def test_c2_outside_interval(self):
-        v = classify(RelativePair(0.6, 0.6, 0.9, 0.95, 0.05))
+        # ||b|| = 0.873 <= beta, below the lower junction b0 - w = -23/30
+        v = classify(RelativePair(0.6, 0.6, 0.9, -0.85, 0.2))
         assert v.regime == C2
         assert v.coexistent
+
+    @pytest.mark.parametrize("bx", [1.0, 1.0 + 2.0**-52, -1.0, -1.0 - 2.0**-52])
+    def test_beyond_a_tip_junction_the_height_decides(self, bx):
+        # sharp projections: both junctions sit at the tips, where the circle
+        # has height 0, so a bx at or past a tip by roundoff decides nothing
+        v = classify(RelativePair(1.0, 1.0, 1.0, bx, 1e-8))
+        assert v.regime == C3
+        assert not v.coexistent
+        assert v.by_max == 0.0
+        assert classify(RelativePair(1.0, 1.0, 1.0, bx, 1e-13)).coexistent
 
     def test_interval_fields_presence(self):
         c1 = classify(RelativePair(0.6, 0.5, 0.6, 0.1, 0.3))
         assert c1.b0 is None and c1.w is None and c1.by_max is None
         c3 = classify(RelativePair(1.0, 1.0, 1.0, 0.0, 1.0))
         assert c3.b0 is not None and c3.w is not None and c3.by_max is not None
-        c2 = classify(RelativePair(0.6, 0.6, 0.9, 0.95, 0.05))
+        c2 = classify(RelativePair(0.6, 0.6, 0.9, -0.85, 0.2))
         assert c2.b0 is not None and c2.w is not None and c2.by_max is None
 
     @settings(max_examples=300)

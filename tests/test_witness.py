@@ -1,9 +1,12 @@
 """Operator-constraint checks, gamma intervals, witness search, assembly."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import reference as ref
 
 from qcoex.bloch import (
     BlochEffect,
@@ -21,6 +24,7 @@ from qcoex.witness import (
     operator_inequalities_hold,
 )
 
+DATA = Path(__file__).parent / "data"
 SQRT3_INV = 1.0 / math.sqrt(3.0)
 LIU_06_05 = 0.8196660810488711
 
@@ -45,6 +49,48 @@ def scaled_projection_triples():
     """(alpha, beta) of 30 seeded pairs whose first effect is a scaled projection (a = alpha)."""
     rng = np.random.default_rng(2029)
     return [(float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.3, 1.0))) for _ in range(30)]
+
+
+def criterion_4_pairs():
+    """The first 1000 coexistent pairs of acceptance criterion 4's stream."""
+    rng = np.random.default_rng(2026)
+    pairs = []
+    while len(pairs) < 1000:
+        A, B = random_effect_pair(rng)
+        if is_coexistent(A, B):
+            pairs.append((A, B))
+    return pairs
+
+
+def near_junction_pairs():
+    """Scaled projections with bx just inside the junction b0 + w, where the
+    restricted curve meets the full-length circle."""
+    pairs = []
+    for alpha, beta in scaled_projection_triples():
+        curve = boundary_curve(alpha, alpha, beta, n_samples=16)
+        if curve.b0 is None:
+            continue
+        A = effect_from_bloch(alpha, (alpha, 0.0, 0.0))
+        for k in range(6, 13):
+            bx = curve.b0 + curve.w - 10.0**-k
+            cap = by_max(alpha, alpha, beta, bx)
+            for by in (cap, 0.5 * cap, 1e-13):
+                B = effect_from_bloch(beta, (bx, by, 0.0))
+                pairs.append((A, B))
+    return pairs
+
+
+def near_tip_pairs():
+    """Scaled projections with b almost parallel to a = alpha at full length,
+    where the junction b0 + w sits at the tip bx = beta."""
+    pairs = []
+    for alpha, beta in scaled_projection_triples():
+        A = effect_from_bloch(alpha, (alpha, 0.0, 0.0))
+        for eps in (1e-13, 1e-14, 1e-15, 4e-16):
+            for by in (1e-8, 1e-9, 1e-10):
+                B = effect_from_bloch(beta, (beta - eps, by, 0.0))
+                pairs.append((A, B))
+    return pairs
 
 
 def assert_witness_valid(A, B):
@@ -206,50 +252,46 @@ class TestFindWitness:
             if wt is not None:
                 assert operator_inequalities_hold(A, B, wt).holds
 
-    def test_closed_form_needs_no_grid_search(self, monkeypatch):
-        def no_grid_search(*args, **kwargs):
-            raise AssertionError("find_witness fell back to oracle_scan")
-
-        monkeypatch.setattr("qcoex.witness.oracle_scan", no_grid_search)
+    def test_closed_form_needs_no_grid_search(self, no_oracle):
         rng = np.random.default_rng(9)
         pairs = [random_effect_pair(rng) for _ in range(300)]
         pairs += [sic_pair(), commuting_pair(), on_curve_pair()]
+        pairs += criterion_4_pairs()
+        pairs += near_junction_pairs() + near_tip_pairs()
         for A, B in pairs:
             if is_coexistent(A, B):
                 assert_witness_valid(A, B)
 
     def test_near_junction_scaled_projections(self):
-        # bx just inside the junction b0 + w, where the restricted curve
-        # meets the full-length circle
         checked = 0
-        for alpha, beta in scaled_projection_triples():
-            curve = boundary_curve(alpha, alpha, beta, n_samples=16)
-            if curve.b0 is None:
-                continue
-            A = effect_from_bloch(alpha, (alpha, 0.0, 0.0))
-            for k in range(6, 13):
-                bx = curve.b0 + curve.w - 10.0**-k
-                cap = by_max(alpha, alpha, beta, bx)
-                for by in (cap, 0.5 * cap, 1e-13):
-                    B = effect_from_bloch(beta, (bx, by, 0.0))
-                    if is_coexistent(A, B):
-                        assert_witness_valid(A, B)
-                        checked += 1
-        assert checked == 476
+        for A, B in near_junction_pairs():
+            if is_coexistent(A, B):
+                assert_witness_valid(A, B)
+                checked += 1
+        assert checked == 501
 
     def test_near_tip_scaled_projections(self):
-        # b almost parallel to a = alpha at full length, where the gamma
-        # interval at the top is degenerate
         checked = 0
-        for alpha, beta in scaled_projection_triples():
+        for A, B in near_tip_pairs():
+            if is_coexistent(A, B):
+                assert_witness_valid(A, B)
+                checked += 1
+        assert checked == 355
+
+    def test_moved_sweep_verdicts_lie_in_the_reference_band(self):
+        # the sweep pairs whose verdict changed when by came from the cross
+        # product and the junction test from the tip gaps: the closed form
+        # gives every one a margin below 1e-16 in size, far inside its band
+        moved = json.loads((DATA / "witness_sweep_moves.json").read_text())
+        assert len(moved) == 34
+        for case in moved:
+            alpha, beta, bx, by = case["alpha"], case["beta"], case["bx"], case["by"]
             A = effect_from_bloch(alpha, (alpha, 0.0, 0.0))
-            for eps in (1e-13, 1e-14, 1e-15, 4e-16):
-                for by in (1e-8, 1e-9, 1e-10):
-                    B = effect_from_bloch(beta, (beta - eps, by, 0.0))
-                    if is_coexistent(A, B):
-                        assert_witness_valid(A, B)
-                        checked += 1
-        assert checked == 360
+            B = effect_from_bloch(beta, (bx, by, 0.0))
+            assert is_coexistent(A, B) == case["coexistent"]
+            margin = ref.coexistence_margin(alpha, A.avec, beta, B.avec)
+            assert abs(margin) < 1e-16
+            assert float(margin) == pytest.approx(case["margin"], rel=1e-9, abs=1e-30)
 
 
 class TestAssembleObservable:
