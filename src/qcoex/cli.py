@@ -86,6 +86,8 @@ def effect_from_spec(spec, label: str) -> BlochEffect:
             raise SpecError(f"{label}: field 'matrix' must be four [re, im] pairs (row-major)")
         try:
             values = [complex(float(e[0]), float(e[1])) for e in entries]
+        except OverflowError:
+            raise SpecError(f"{label}: field 'matrix' holds a number too large for a float") from None
         except (TypeError, ValueError):
             raise SpecError(f"{label}: field 'matrix' entries must be numbers") from None
         mat = np.array([[values[0], values[1]], [values[2], values[3]]])
@@ -109,28 +111,41 @@ def effect_from_spec(spec, label: str) -> BlochEffect:
         or any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in avec)
     ):
         raise SpecError(f"{label}: field 'a' must be a 3-element number array")
+    alpha = _as_float(alpha, label, "alpha")
+    avec = [_as_float(v, label, "a") for v in avec]
     try:
-        return effect_from_bloch(float(alpha), [float(v) for v in avec])
+        return effect_from_bloch(alpha, avec)
     except InvalidEffectError as exc:
         raise SpecError(f"{label}: {exc}") from None
+
+
+def _as_float(value, label: str, name: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecError(f"{label}: field {name!r} holds a number too large for a float") from None
+
+
+def _parse_json(text: str, context: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SpecError(f"{context}: nested too deeply") from None
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer with too many digits to convert
+        raise SpecError(f"{context}: {exc}") from None
 
 
 def load_effect_arg(text: str, label: str) -> BlochEffect:
     """Parse an effect argument: inline JSON or a path to a JSON file."""
     raw = text.strip()
     if raw.startswith("{"):
-        try:
-            spec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{label}: invalid JSON: {exc}") from None
+        spec = _parse_json(raw, f"{label}: invalid JSON")
     else:
         path = Path(raw)
         if not path.is_file():
             raise SpecError(f"{label}: no such file: {raw}")
-        try:
-            spec = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{label}: invalid JSON in {raw}: {exc}") from None
+        spec = _parse_json(path.read_text(), f"{label}: invalid JSON in {raw}")
     return effect_from_spec(spec, label)
 
 

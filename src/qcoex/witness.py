@@ -2,7 +2,10 @@
 
 Coexistence of effects A and B is certified by a single effect G1 whose four
 operator constraints (G1 >= 0, G1 <= A, G1 <= B, 1 + G1 >= A + B) hold; the
-joint observable is then (G1, A - G1, B - G1, 1 + G1 - A - B).
+joint observable is then (G1, A - G1, B - G1, 1 + G1 - A - B).  A witness
+request checks those constraints once: :func:`find_witness` checks its
+candidate, and :func:`assemble_observable` reuses that check for the same two
+effects and checks any other witness itself.
 
 One closed form builds G1 in the reduced pair's plane: the operator product
 for commuting pairs, and otherwise a mixture of the witness at the top of the
@@ -13,11 +16,11 @@ by = 0.  Nothing here calls the oracle, so the two check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochEffect, RelativePair, complement, effect_to_matrix, relative_pair
+from .bloch import BlochEffect, RelativePair, complement, relative_pair
 from .coexist import C3, Verdict, classify
 
 __all__ = [
@@ -44,11 +47,14 @@ class Witness:
     """First outcome of a joint observable, as (gamma, gvec).
 
     Satisfies 0 <= ||gvec|| <= gamma <= 2 - ||gvec|| whenever it passes
-    :func:`operator_inequalities_hold` for a valid pair.
+    :func:`operator_inequalities_hold` for a valid pair.  A witness from
+    :func:`find_witness` also records the effects it was checked against and
+    the report that admitted it; the record is not part of repr or equality.
     """
 
     gamma: float
     gvec: np.ndarray
+    _admitted: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vec = np.array(self.gvec, dtype=float).reshape(3)
@@ -80,6 +86,8 @@ class InequalityReport:
 
     ``residuals`` come from the Bloch-vector form of the constraints;
     ``min_eigenvalues`` cross-check them independently at operator level.
+    A witness request makes one report: :func:`find_witness` keeps the one
+    that admitted its witness, and :func:`assemble_observable` reuses it.
     """
 
     holds: bool
@@ -88,24 +96,22 @@ class InequalityReport:
 
 
 def operator_inequalities_hold(A: BlochEffect, B: BlochEffect, wt: Witness) -> InequalityReport:
-    """Check the four constraints making (gamma, gvec) a valid first outcome."""
+    """Check the four constraints making (gamma, gvec) a valid first outcome.
+
+    The four outcomes are checked as one array: the residuals row by row as
+    ||vector|| - trace, the minimum eigenvalues by one ``eigvalsh`` over the
+    stack of their 2x2 matrices.
+    """
     g = wt.gvec
     gamma = wt.gamma
-    residuals = (
-        float(np.linalg.norm(g)) - gamma,
-        float(np.linalg.norm(A.avec - g)) - (A.alpha - gamma),
-        float(np.linalg.norm(B.avec - g)) - (B.alpha - gamma),
-        float(np.linalg.norm(A.avec + B.avec - g)) - (2.0 + gamma - A.alpha - B.alpha),
-    )
-    operators = (
-        BlochEffect(gamma, g),
-        BlochEffect(A.alpha - gamma, A.avec - g),
-        BlochEffect(B.alpha - gamma, B.avec - g),
-        BlochEffect(2.0 + gamma - A.alpha - B.alpha, g - A.avec - B.avec),
-    )
-    eigenvalues = tuple(
-        float(np.linalg.eigvalsh(effect_to_matrix(op))[0]) for op in operators
-    )
+    traces = np.array([gamma, A.alpha - gamma, B.alpha - gamma, 2.0 + gamma - A.alpha - B.alpha])
+    # the last outcome's vector is a + b - g in its residual and g - a - b in
+    # its operator; the two round differently, so both rows are kept
+    rows = np.array([g, A.avec - g, B.avec - g, A.avec + B.avec - g, g - A.avec - B.avec])
+    residuals = tuple((np.sqrt(np.vecdot(rows[:4], rows[:4])) - traces).tolist())
+    x, y, z = rows[[0, 1, 2, 4]].T
+    matrices = 0.5 * np.array([[traces + z, x - 1j * y], [x + 1j * y, traces - z]])
+    eigenvalues = tuple(np.linalg.eigvalsh(matrices.transpose(2, 0, 1))[:, 0].tolist())
     holds = max(residuals) <= PSD_TOL and min(eigenvalues) >= -PSD_TOL
     return InequalityReport(holds, residuals, eigenvalues)
 
@@ -232,8 +238,9 @@ def _plane_basis(avec: np.ndarray, bvec: np.ndarray) -> tuple[np.ndarray, np.nda
 def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
     """Explicit first outcome certifying coexistence; None when not coexistent.
 
-    Builds one candidate in closed form and checks it with
-    :func:`operator_inequalities_hold`.  It is the commuting product when
+    Builds one candidate in closed form and checks it once with
+    :func:`operator_inequalities_hold`; the witness carries that report to
+    :func:`assemble_observable`.  The candidate is the commuting product when
     a = 0 or by = 0.  Otherwise by is raised at fixed bx to the allowed top:
     ``verdict.by_max`` in regime C3, the full-length circle
     sqrt(beta^2 - bx^2) elsewhere, where a pair above the circle by roundoff
@@ -277,6 +284,7 @@ def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
             "pair classified coexistent but its witness fails the operator "
             f"constraints: residuals={check.residuals}"
         )
+    object.__setattr__(wt, "_admitted", (A, B, check))
     return wt
 
 
@@ -284,12 +292,19 @@ def assemble_observable(A: BlochEffect, B: BlochEffect, wt: Witness) -> WitnessO
     """Four-outcome observable (G1, A - G1, B - G1, 1 + G1 - A - B).
 
     The marginal identities hold by construction; validity of each outcome
-    follows from the operator constraints, which are re-checked here.
+    follows from the operator constraints.  A witness that :func:`find_witness`
+    admitted for these same effect objects keeps the report of that check;
+    any other witness, hand-built or passed with other effects (equal-valued
+    copies included), is checked here.
 
     Raises:
         ValueError: when the witness fails the operator constraints.
     """
-    report = operator_inequalities_hold(A, B, wt)
+    admitted = wt._admitted
+    if admitted is not None and admitted[0] is A and admitted[1] is B:
+        report = admitted[2]
+    else:
+        report = operator_inequalities_hold(A, B, wt)
     if not report.holds:
         raise ValueError(
             f"witness fails the operator constraints: residuals={report.residuals}"

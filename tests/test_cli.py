@@ -18,8 +18,9 @@ PROJ_Y = '{"alpha": 1, "a": [0, 1, 0]}'
 FIG_A = '{"alpha": 0.6, "a": [0.5, 0, 0]}'
 FIG_B = '{"alpha": 0.6, "a": [0, 0.6, 0]}'
 
-# exact stdout of the README example `qcoex boundary` commands
-README_BOUNDARY = Path(__file__).parent / "data"
+# exact stdout of the README example `qcoex boundary` commands, and of
+# `qcoex decide --witness` on pairs the README does not show
+DATA = Path(__file__).parent / "data"
 
 # stdout of the README example `qcoex witness` command
 README_WITNESS_OUT = (
@@ -90,6 +91,29 @@ class TestDecide:
         assert payload["regime"] == "C3"
         assert set(payload["witness"]["effects"]) == {"G1", "G2", "G3", "G4"}
 
+    @pytest.mark.parametrize(
+        "a,b,expected",
+        [
+            # regime C3: the curve crossing mixed with its by = 0 partner
+            (
+                '{"alpha": 0.6, "a": [0.3, 0.4, 0]}',
+                '{"alpha": 1, "a": [0.2, -0.6, 0.3]}',
+                "decide_witness_c3.json",
+            ),
+            # both trace coefficients above 1: mapped back through both complements
+            (
+                '{"alpha": 1.4, "a": [0.3, 0.1, 0]}',
+                '{"alpha": 1.2, "a": [0, 0.4, 0.2]}',
+                "decide_witness_complemented.json",
+            ),
+        ],
+    )
+    def test_witness_bytes(self, capsys, a, b, expected):
+        code, out, err = run(capsys, ["decide", a, b, "--witness"])
+        assert code == EXIT_OK
+        assert err == ""
+        assert out == (DATA / expected).read_text()
+
     def test_oracle_flag_reports_margin(self, capsys):
         code, out, _ = run(capsys, ["decide", PROJ_Z, PROJ_Y, "--oracle"])
         assert code == EXIT_NEGATIVE
@@ -116,6 +140,36 @@ class TestDecideErrors:
         code, _, err = run(capsys, ["decide", "{not json", PROJ_Y])
         assert code == EXIT_USAGE
         assert "effect A" in err
+
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            ('{"alpha": 1%s, "a": [0, 0, 0]}' % ("0" * 400), "alpha"),
+            ('{"alpha": 1, "a": [1%s, 0, 0]}' % ("0" * 400), "a"),
+            ('{"matrix": [[1%s, 0], [0, 0], [0, 0], [0, 0]]}' % ("0" * 400), "matrix"),
+        ],
+        ids=["alpha", "a", "matrix"],
+    )
+    def test_number_too_large_for_a_float(self, capsys, spec, field):
+        code, out, err = run(capsys, ["decide", spec, PROJ_Y])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: effect A: field '{field}' holds a number too large for a float\n"
+
+    def test_integer_too_long_to_parse(self, capsys):
+        code, out, err = run(capsys, ["decide", '{"alpha": 1%s}' % ("0" * 5000), PROJ_Y])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: effect A: invalid JSON: Exceeds the limit")
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"a": ' + "[" * 5000 + "]" * 5000 + "}")
+        code, out, err = run(capsys, ["decide", str(path), PROJ_Y])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: effect A: invalid JSON in {path}: nested too deeply\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["decide", "nope.json", PROJ_Y])
@@ -237,7 +291,7 @@ class TestBoundary:
     def test_readme_example_bytes(self, capsys, argv, expected):
         code, out, _ = run(capsys, ["boundary", *argv])
         assert code == EXIT_OK
-        assert out == (README_BOUNDARY / expected).read_text()
+        assert out == (DATA / expected).read_text()
 
 
 class TestWitnessCommand:

@@ -11,12 +11,15 @@ import reference as ref
 from qcoex.bloch import (
     BlochEffect,
     RelativePair,
+    complement,
     effect_from_bloch,
     effect_to_matrix,
 )
 from qcoex.coexist import boundary_curve, by_max, classify, is_coexistent
 from qcoex.oracle import random_effect_pair
 from qcoex.witness import (
+    PSD_TOL,
+    InequalityReport,
     Witness,
     assemble_observable,
     find_witness,
@@ -93,6 +96,52 @@ def near_tip_pairs():
     return pairs
 
 
+def per_outcome_check(A, B, wt):
+    """Residuals and minimum eigenvalues one outcome at a time: a norm and a
+    2x2 matrix with its own eigvalsh call per outcome."""
+    g = wt.gvec
+    gamma = wt.gamma
+    residuals = (
+        float(np.linalg.norm(g)) - gamma,
+        float(np.linalg.norm(A.avec - g)) - (A.alpha - gamma),
+        float(np.linalg.norm(B.avec - g)) - (B.alpha - gamma),
+        float(np.linalg.norm(A.avec + B.avec - g)) - (2.0 + gamma - A.alpha - B.alpha),
+    )
+    operators = (
+        BlochEffect(gamma, g),
+        BlochEffect(A.alpha - gamma, A.avec - g),
+        BlochEffect(B.alpha - gamma, B.avec - g),
+        BlochEffect(2.0 + gamma - A.alpha - B.alpha, g - A.avec - B.avec),
+    )
+    eigenvalues = tuple(float(np.linalg.eigvalsh(effect_to_matrix(op))[0]) for op in operators)
+    return residuals, eigenvalues
+
+
+def pushed_off(A, B, wt, k):
+    """The witness with gamma moved so that constraint k fails by 1e-6."""
+    g = wt.gvec
+    gamma = (
+        float(np.linalg.norm(g)) - 1e-6,
+        A.alpha - float(np.linalg.norm(A.avec - g)) + 1e-6,
+        B.alpha - float(np.linalg.norm(B.avec - g)) + 1e-6,
+        float(np.linalg.norm(A.avec + B.avec - g)) - 2.0 + A.alpha + B.alpha - 1e-6,
+    )[k]
+    return Witness(gamma, g)
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Count the calls of operator_inequalities_hold made inside qcoex.witness."""
+    calls = []
+
+    def counted(A, B, wt):
+        calls.append(wt)
+        return operator_inequalities_hold(A, B, wt)
+
+    monkeypatch.setattr("qcoex.witness.operator_inequalities_hold", counted)
+    return calls
+
+
 def assert_witness_valid(A, B):
     wt = find_witness(A, B)
     assert wt is not None
@@ -127,6 +176,22 @@ class TestOperatorInequalities:
             # vector residual r and operator minimum eigenvalue agree: eig = -r/2
             for r, eig in zip(report.residuals, report.min_eigenvalues):
                 assert eig == pytest.approx(-0.5 * r, abs=1e-12)
+
+    def test_batched_check_matches_the_per_outcome_check(self):
+        pairs = criterion_4_pairs() + near_junction_pairs() + near_tip_pairs()
+        checked = 0
+        for A, B in pairs:
+            wt = find_witness(A, B)
+            if wt is None:
+                continue
+            for k, w in enumerate((wt, pushed_off(A, B, wt, checked % 4))):
+                report = operator_inequalities_hold(A, B, w)
+                residuals, eigenvalues = per_outcome_check(A, B, w)
+                assert (report.residuals, report.min_eigenvalues) == (residuals, eigenvalues)
+                assert report.holds == (k == 0)
+                assert report.holds == (max(residuals) <= PSD_TOL and min(eigenvalues) >= -PSD_TOL)
+            checked += 1
+        assert checked == 1000 + 501 + 355
 
     def test_noncommuting_projection_candidates_fail(self):
         A = effect_from_bloch(1.0, (0.0, 0.0, 1.0))
@@ -331,8 +396,45 @@ class TestAssembleObservable:
         wt = find_witness(A, B)
         assert assemble_observable(A, B, wt).report == operator_inequalities_hold(A, B, wt)
 
-    def test_rejects_witness_violating_constraints(self):
+    def test_rejects_witness_violating_constraints(self, check_calls):
         A = effect_from_bloch(0.6, (0.5, 0.0, 0.0))
         B = effect_from_bloch(0.6, (0.0, 0.6, 0.0))
         with pytest.raises(ValueError, match="constraints"):
             assemble_observable(A, B, Witness(0.9, (0.95, 0.0, 0.0)))
+        assert len(check_calls) == 1
+
+    def test_one_check_per_request(self, check_calls):
+        C, D = commuting_pair()
+        # the last pair has both trace coefficients above 1
+        for A, B in (sic_pair(), commuting_pair(), on_curve_pair(), (complement(C), complement(D))):
+            check_calls.clear()
+            wt = find_witness(A, B)
+            obs = assemble_observable(A, B, wt)
+            assert check_calls == [wt]
+            assert obs.report.holds
+
+    def test_rejects_witness_passed_with_another_effect(self, check_calls):
+        A, B = sic_pair()
+        wt = find_witness(A, B)
+        B2 = effect_from_bloch(1.0, (0.0, 0.0, SQRT3_INV))
+        with pytest.raises(ValueError, match="constraints"):
+            assemble_observable(A, B2, wt)
+        assert len(check_calls) == 2
+
+    def test_checks_witness_passed_with_equal_copies(self, check_calls, monkeypatch):
+        A, B = sic_pair()
+        wt = find_witness(A, B)
+        A2, B2 = BlochEffect(A.alpha, A.avec), BlochEffect(B.alpha, B.avec)
+        assert assemble_observable(A2, B2, wt).report == operator_inequalities_hold(A, B, wt)
+        assert check_calls == [wt, wt]
+        # a check that fails shows the copies are checked, not trusted
+        failing = InequalityReport(False, (1.0,) * 4, (-1.0,) * 4)
+        monkeypatch.setattr("qcoex.witness.operator_inequalities_hold", lambda *args: failing)
+        with pytest.raises(ValueError, match="constraints"):
+            assemble_observable(A2, B2, wt)
+        assert assemble_observable(A, B, wt).report.holds
+
+    def test_admission_record_stays_out_of_repr(self):
+        A, B = sic_pair()
+        wt = find_witness(A, B)
+        assert repr(wt) == repr(Witness(wt.gamma, wt.gvec))
