@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerance import DOMAIN_TOL, MATRIX_TOL, RADICAND_TOL
+
 __all__ = [
     "BlochEffect",
     "InvalidEffectError",
@@ -29,10 +31,6 @@ __all__ = [
     "sharpness",
     "sharpness_scalar",
 ]
-
-HERMITICITY_TOL = 1e-10
-EIGENVALUE_TOL = 1e-10
-VALIDITY_TOL = 1e-12
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -76,17 +74,17 @@ def effect_from_bloch(alpha: float, avec) -> BlochEffect:
 
     Raises:
         InvalidEffectError: naming the bound that failed, when the parameters
-            violate ||avec|| <= alpha <= 2 - ||avec|| beyond ``VALIDITY_TOL``.
+            violate ||avec|| <= alpha <= 2 - ||avec|| beyond ``DOMAIN_TOL``.
     """
     effect = BlochEffect(alpha, avec)
     if not math.isfinite(effect.alpha) or not np.all(np.isfinite(effect.avec)):
         raise InvalidEffectError("effect parameters must be finite")
     a = effect.a
-    if effect.alpha < a - VALIDITY_TOL:
+    if effect.alpha < a - DOMAIN_TOL:
         raise InvalidEffectError(
             f"lower bound failed: alpha={effect.alpha!r} is below ||avec||={a!r}"
         )
-    if effect.alpha > 2.0 - a + VALIDITY_TOL:
+    if effect.alpha > 2.0 - a + DOMAIN_TOL:
         raise InvalidEffectError(
             f"upper bound failed: alpha={effect.alpha!r} exceeds 2 - ||avec||={2.0 - a!r}"
         )
@@ -113,8 +111,8 @@ def effect_to_matrix(e: BlochEffect) -> np.ndarray:
 def effect_from_matrix(m) -> BlochEffect:
     """Effect from a 2x2 matrix via its Pauli expansion.
 
-    The matrix must be Hermitian within ``HERMITICITY_TOL`` and have
-    eigenvalues in [0, 1] within ``EIGENVALUE_TOL``.  Round trip with
+    The matrix must be Hermitian and have eigenvalues in [0, 1], both
+    within ``MATRIX_TOL``.  Round trip with
     :func:`effect_to_matrix` is the identity to better than 1e-12 per entry.
 
     Raises:
@@ -127,15 +125,15 @@ def effect_from_matrix(m) -> BlochEffect:
     if not np.isfinite(mat).all():
         raise InvalidEffectError("matrix entries must be finite")
     herm_defect = float(np.abs(mat - mat.conj().T).max())
-    if herm_defect > HERMITICITY_TOL:
+    if herm_defect > MATRIX_TOL:
         raise InvalidEffectError(
             f"matrix is not Hermitian: max |M - M^dagger| = {herm_defect:.3e}"
         )
     h = 0.5 * (mat + mat.conj().T)
     evals = np.linalg.eigvalsh(h)
-    if evals[0] < -EIGENVALUE_TOL:
+    if evals[0] < -MATRIX_TOL:
         raise InvalidEffectError(f"eigenvalue {evals[0]!r} below 0")
-    if evals[-1] > 1.0 + EIGENVALUE_TOL:
+    if evals[-1] > 1.0 + MATRIX_TOL:
         raise InvalidEffectError(f"eigenvalue {evals[-1]!r} above 1")
     alpha = float((h[0, 0] + h[1, 1]).real)
     ax = float((h[0, 1] + h[1, 0]).real)
@@ -150,19 +148,20 @@ def sharpness_scalar(alpha: float, a: float) -> float:
     Returns a value in [0, 1]: 1 exactly for non-trivial projections
     (alpha = a = 1), 0 exactly for trivial effects (a = 0).  The square-root
     argument is a product of differences of squares, each factored as
-    (x - a)(x + a) so that it keeps its digits near a = alpha; tiny
-    negatives are clamped to zero.
+    (x - a)(x + a) so that it keeps its digits near a = alpha; negatives
+    down to ``RADICAND_TOL`` are clamped to zero, and a result within
+    ``DOMAIN_TOL`` outside [0, 1] to that interval.
     """
     if a == 0.0:
         return 0.0
     c = 2.0 - alpha
     arg = ((alpha - a) * (alpha + a)) * ((c - a) * (c + a))
-    if arg < -1e-10:
+    if arg < -RADICAND_TOL:
         raise InvalidEffectError(f"sharpness arguments out of range: alpha={alpha!r}, a={a!r}")
     s = 0.5 * (a * a + alpha * c - math.sqrt(max(arg, 0.0)))
-    if -1e-12 <= s < 0.0:
+    if -DOMAIN_TOL <= s < 0.0:
         return 0.0
-    if 1.0 < s <= 1.0 + 1e-12:
+    if 1.0 < s <= 1.0 + DOMAIN_TOL:
         return 1.0
     return s
 

@@ -84,13 +84,8 @@ def effect_from_spec(spec, label: str) -> BlochEffect:
             or any(not isinstance(e, list) or len(e) != 2 for e in entries)
         ):
             raise SpecError(f"{label}: field 'matrix' must be four [re, im] pairs (row-major)")
-        try:
-            values = [complex(float(e[0]), float(e[1])) for e in entries]
-        except OverflowError:
-            raise SpecError(f"{label}: field 'matrix' holds a number too large for a float") from None
-        except (TypeError, ValueError):
-            raise SpecError(f"{label}: field 'matrix' entries must be numbers") from None
-        mat = np.array([[values[0], values[1]], [values[2], values[3]]])
+        parts = _numbers([x for e in entries for x in e], label, "matrix", "entries must be numbers")
+        mat = np.array([complex(re, im) for re, im in zip(parts[::2], parts[1::2])]).reshape(2, 2)
         try:
             return effect_from_matrix(mat)
         except InvalidEffectError as exc:
@@ -101,27 +96,23 @@ def effect_from_spec(spec, label: str) -> BlochEffect:
         raise SpecError(f"{label}: field 'alpha' is required alongside 'a'")
     if "a" not in spec:
         raise SpecError(f"{label}: field 'a' is required alongside 'alpha'")
-    alpha = spec["alpha"]
+    (alpha,) = _numbers([spec["alpha"]], label, "alpha", "must be a number")
     avec = spec["a"]
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-        raise SpecError(f"{label}: field 'alpha' must be a number")
-    if (
-        not isinstance(avec, list)
-        or len(avec) != 3
-        or any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in avec)
-    ):
+    if not isinstance(avec, list) or len(avec) != 3:
         raise SpecError(f"{label}: field 'a' must be a 3-element number array")
-    alpha = _as_float(alpha, label, "alpha")
-    avec = [_as_float(v, label, "a") for v in avec]
+    avec = _numbers(avec, label, "a", "must be a 3-element number array")
     try:
         return effect_from_bloch(alpha, avec)
     except InvalidEffectError as exc:
         raise SpecError(f"{label}: {exc}") from None
 
 
-def _as_float(value, label: str, name: str) -> float:
+def _numbers(values: list, label: str, name: str, requirement: str) -> list[float]:
+    """JSON numbers as floats: an int or a float, never a bool or a string."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise SpecError(f"{label}: field {name!r} {requirement}")
     try:
-        return float(value)
+        return [float(v) for v in values]
     except OverflowError:
         raise SpecError(f"{label}: field {name!r} holds a number too large for a float") from None
 
@@ -145,7 +136,11 @@ def load_effect_arg(text: str, label: str) -> BlochEffect:
         path = Path(raw)
         if not path.is_file():
             raise SpecError(f"{label}: no such file: {raw}")
-        spec = _parse_json(path.read_text(), f"{label}: invalid JSON in {raw}")
+        try:
+            content = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SpecError(f"{label}: cannot read {raw}: {exc}") from None
+        spec = _parse_json(content, f"{label}: invalid JSON in {raw}")
     return effect_from_spec(spec, label)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochEffect, RelativePair, relative_pair, sharpness_scalar
+from .tolerance import BOUNDARY_TOL, DOMAIN_TOL, RADICAND_TOL, ROOT_TOL
 
 __all__ = [
     "ARC_CIRCLE",
@@ -40,12 +41,6 @@ TRIVIAL_PARALLEL = "TrivialParallel"
 ARC_CIRCLE = "circle"
 ARC_CURVE = "curve"
 
-# Absolute tolerance for regime comparisons on reduced quantities.  The
-# allowed region is closed, so equalities count as coexistent.
-BOUNDARY_TOL = 1e-12
-_DOMAIN_TOL = 1e-12
-# Most negative square-root argument of the cap still taken as roundoff.
-_ROOT_TOL = 1e-9
 # Largest boundary_curve request: a curve is held in memory and printed by
 # the CLI in full (about 4 MB of CSV at this size).
 _MAX_SAMPLES = 100_000
@@ -75,7 +70,7 @@ class Verdict:
 def _interval(alpha: float, a: float, beta: float) -> tuple[float, float]:
     """Center b0 and half-width w of the restricted direction interval (a > 0)."""
     d = (1.0 - alpha) ** 2 - beta * ((1.0 - alpha) ** 2 + 1.0 - a * a) + beta * beta
-    if d < -1e-10:
+    if d < -RADICAND_TOL:
         # analytically impossible once beta exceeds the unsharpness threshold
         raise ArithmeticError(
             f"negative discriminant {d!r} for alpha={alpha!r}, a={a!r}, beta={beta!r}"
@@ -105,13 +100,13 @@ def _tip_gap(alpha: float, a: float, beta: float, b0: float, w: float, side: flo
 
 
 def _root(q: float) -> float:
-    if q < -_ROOT_TOL:
+    if q < -ROOT_TOL:
         raise ArithmeticError(f"square-root argument out of range: {q!r}")
     return math.sqrt(max(q, 0.0))
 
 
 def _root_array(q: np.ndarray) -> np.ndarray:
-    if np.any(q < -_ROOT_TOL):
+    if np.any(q < -ROOT_TOL):
         raise ArithmeticError(f"square-root argument out of range: {q.min()!r}")
     return np.sqrt(np.maximum(q, 0.0))
 
@@ -183,12 +178,12 @@ def by_max(alpha: float, a: float, beta: float, bx: float) -> float:
     if a <= 0.0:
         raise ValueError("by_max requires a > 0")
     s = sharpness_scalar(alpha, a)
-    if beta <= 1.0 - s - _DOMAIN_TOL:
+    if beta <= 1.0 - s - DOMAIN_TOL:
         raise ValueError(
             f"by_max requires beta > 1 - S: beta={beta!r}, 1 - S={1.0 - s!r}"
         )
     b0, w = _interval(alpha, a, beta)
-    if abs(bx - b0) > w + _DOMAIN_TOL:
+    if abs(bx - b0) > w + DOMAIN_TOL:
         raise ValueError(
             f"bx={bx!r} outside the restricted interval [{b0 - w!r}, {b0 + w!r}]"
         )
@@ -232,7 +227,7 @@ def boundary_curve(
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta!r}")
-    if not 0.0 <= a <= alpha + _DOMAIN_TOL:
+    if not 0.0 <= a <= alpha + DOMAIN_TOL:
         raise ValueError(f"a must be in [0, alpha], got a={a!r}, alpha={alpha!r}")
     if not 16 <= n_samples <= _MAX_SAMPLES:
         raise ValueError(
@@ -282,18 +277,18 @@ def special_case_verdict(p: RelativePair) -> SpecialCaseVerdict | None:
     b = beta ("molnar").  Returns None when no special domain matches.
     """
     b = p.b
-    if abs(p.alpha - 1.0) <= _DOMAIN_TOL and abs(p.beta - 1.0) <= _DOMAIN_TOL:
+    if abs(p.alpha - 1.0) <= DOMAIN_TOL and abs(p.beta - 1.0) <= DOMAIN_TOL:
         plus = math.hypot(p.a + p.bx, p.by)
         minus = math.hypot(p.a - p.bx, p.by)
         return SpecialCaseVerdict(
             "busch", plus + minus <= 2.0 + BOUNDARY_TOL, abs(2.0 - plus - minus)
         )
-    if abs(p.beta - 1.0) <= _DOMAIN_TOL and abs(p.bx) <= _DOMAIN_TOL:
+    if abs(p.beta - 1.0) <= DOMAIN_TOL and abs(p.bx) <= DOMAIN_TOL:
         limit = 0.5 * math.sqrt(max((2.0 - p.alpha) ** 2 - p.a * p.a, 0.0)) + 0.5 * math.sqrt(
             max(p.alpha * p.alpha - p.a * p.a, 0.0)
         )
         return SpecialCaseVerdict("liu", b <= limit + BOUNDARY_TOL, abs(limit - b))
-    if abs(p.a - p.alpha) <= _DOMAIN_TOL and abs(b - p.beta) <= _DOMAIN_TOL:
+    if abs(p.a - p.alpha) <= DOMAIN_TOL and abs(b - p.beta) <= DOMAIN_TOL:
         bound = 2.0 - 2.0 * p.alpha - 2.0 * p.beta + p.alpha * p.beta
         coexistent = p.bx >= p.beta - BOUNDARY_TOL or p.a * p.bx <= bound + BOUNDARY_TOL
         margin = abs(p.a * p.bx - bound)

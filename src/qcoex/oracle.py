@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochEffect, RelativePair, relative_pair
+from .tolerance import BOUNDARY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL
 
 __all__ = [
     "DiskSystem",
@@ -30,8 +31,6 @@ __all__ = [
     "random_effect_pair",
 ]
 
-MEMBERSHIP_SLACK = 1e-12
-ENDPOINT_TOL = 1e-10
 DEFAULT_GRID = 10_000
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -41,8 +40,6 @@ _CHUNK = 2048
 # A refinement step samples each bracket at the ends of _CELLS equal cells.
 _CELLS = 32
 _STEPS = np.linspace(0.0, 1.0, _CELLS + 1)
-# Bracket width at which the search for the profile minimum stops.
-_MINIMUM_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +130,7 @@ def _minimax(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.nda
             m10 = 2.0 * (ck[0] - ci[0])
             m11 = 2.0 * (ck[1] - ci[1])
             det = m00 * m11 - m01 * m10
-            if abs(det) < 1e-14:
+            if abs(det) < DEGENERATE_TOL:
                 continue
             ri, rj, rk = radii[i], radii[j], radii[k]
             u1 = float(cj @ cj - ci @ ci) + ri * ri - rj * rj
@@ -151,8 +148,8 @@ def _minimax(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.nda
             qc = w0x * w0x + w0y * w0y - ri * ri
             disc = qb * qb - 4.0 * qa * qc
             sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
-            linear = np.abs(qa) < 1e-14
-            t_lin = np.where(np.abs(qb) > 1e-14, -qc / np.where(qb != 0.0, qb, 1.0), np.nan)
+            linear = np.abs(qa) < DEGENERATE_TOL
+            t_lin = np.where(np.abs(qb) > DEGENERATE_TOL, -qc / np.where(qb != 0.0, qb, 1.0), np.nan)
             for sign in (1.0, -1.0):
                 t = np.where(linear, t_lin, (-qb + sign * sq) / (2.0 * np.where(linear, 1.0, qa)))
                 xs.append(g0x + t * g1x)
@@ -180,11 +177,11 @@ def disks_feasible(d: DiskSystem) -> tuple[float, float] | None:
     """Exact finite feasibility test; returns the minimax point when it is inside.
 
     The point is the candidate with the smallest max violation, so it lies
-    in every disk (within ``MEMBERSHIP_SLACK``) exactly when the system is
+    in every disk (within ``BOUNDARY_TOL``) exactly when the system is
     feasible.
     """
     value, point = _minimax(d.centers, d.radii[:, None])
-    if value[0] <= MEMBERSHIP_SLACK:
+    if value[0] <= BOUNDARY_TOL:
         return float(point[0, 0]), float(point[0, 1])
     return None
 
@@ -223,7 +220,7 @@ def _search(
         key = np.where(
             sign[:, None] == 0.0,
             values,
-            np.where(values <= MEMBERSHIP_SLACK, sign[:, None] * gammas, np.inf),
+            np.where(values <= BOUNDARY_TOL, sign[:, None] * gammas, np.inf),
         )
         best = key.argmin(axis=1)
         if np.max(hi - lo) <= tol:
@@ -272,17 +269,17 @@ def oracle_scan(p: RelativePair, grid: int = DEFAULT_GRID) -> OracleResult:
     margin = float(profile[k])
     g_best = float(gammas[k])
     last = gammas.size - 1
-    if margin > MEMBERSHIP_SLACK and last > 0:
+    if margin > BOUNDARY_TOL and last > 0:
         lo, hi = gammas[[max(k - 1, 0)]], gammas[[min(k + 1, last)]]
-        (g_ref,), (v_ref,) = _search(p, lo, hi, np.zeros(1), _MINIMUM_TOL)
+        (g_ref,), (v_ref,) = _search(p, lo, hi, np.zeros(1), MINIMUM_TOL)
         if v_ref < margin:
             margin, g_best = float(v_ref), float(g_ref)
-    if margin > MEMBERSHIP_SLACK:
+    if margin > BOUNDARY_TOL:
         return OracleResult(False, margin)
 
     # each edge is bracketed by the outermost feasible gamma found and the
     # grid gamma beyond it; the bracket is empty at 0 or gmax
-    inside = np.flatnonzero(profile <= MEMBERSHIP_SLACK)
+    inside = np.flatnonzero(profile <= BOUNDARY_TOL)
     if inside.size:
         first, final = inside[0], inside[-1]
         found = gammas[[first, final]]

@@ -10,6 +10,7 @@ import numpy as np
 from .bloch import BlochEffect, RelativePair, complement, relative_pair
 from .coexist import classify, is_coexistent, special_case_verdict
 from .oracle import DEFAULT_GRID, oracle_scan, random_effect, random_effect_pair
+from .tolerance import BOUNDARY_BAND, SPECIAL_CASE_BAND
 
 __all__ = [
     "SuiteResult",
@@ -21,9 +22,6 @@ __all__ = [
     "suite_scaling",
     "suite_special_cases",
 ]
-
-SPECIAL_CASE_BAND = 1e-9
-BOUNDARY_BAND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,57 +83,50 @@ def suite_rotation_invariance(n: int, seed: int) -> SuiteResult:
     return SuiteResult("rotation-invariance", n, violations)
 
 
+def _closure_suite(
+    name: str, n: int, seed: int, n_effects: int, member, n_lambdas: int, max_draws_factor: int
+) -> SuiteResult:
+    """A coexistent with each of its partners is coexistent with ``member(*partners, lam)``.
+
+    Draws A and ``n_effects - 1`` partners, skipping draws where A misses a
+    partner, until n are checked or ``max_draws_factor * n`` are drawn.
+    """
+    rng = np.random.default_rng(seed)
+    lambdas = np.linspace(0.0, 1.0, n_lambdas)
+    checked = 0
+    skipped = 0
+    violations = 0
+    draws = 0
+    while checked < n and draws < max_draws_factor * n:
+        draws += 1
+        A, *partners = [random_effect(rng) for _ in range(n_effects)]
+        if not all(is_coexistent(A, X) for X in partners):
+            skipped += 1
+            continue
+        checked += 1
+        if not all(is_coexistent(A, member(*partners, lam)) for lam in lambdas):
+            violations += 1
+    return SuiteResult(name, checked, violations, skipped)
+
+
+def _mixture(B: BlochEffect, C: BlochEffect, lam: float) -> BlochEffect:
+    return BlochEffect(lam * B.alpha + (1.0 - lam) * C.alpha, lam * B.avec + (1.0 - lam) * C.avec)
+
+
+def _downscaling(B: BlochEffect, lam: float) -> BlochEffect:
+    return BlochEffect(lam * B.alpha, lam * B.avec)
+
+
 def suite_convex_combination(
     n: int, seed: int, n_lambdas: int = 10, max_draws_factor: int = 60
 ) -> SuiteResult:
     """A coexistent with B and C implies A coexistent with every mixture of B, C."""
-    rng = np.random.default_rng(seed)
-    lambdas = np.linspace(0.0, 1.0, n_lambdas)
-    checked = 0
-    skipped = 0
-    violations = 0
-    draws = 0
-    while checked < n and draws < max_draws_factor * n:
-        draws += 1
-        A = random_effect(rng)
-        B = random_effect(rng)
-        C = random_effect(rng)
-        if not (is_coexistent(A, B) and is_coexistent(A, C)):
-            skipped += 1
-            continue
-        checked += 1
-        for lam in lambdas:
-            mixed = BlochEffect(
-                lam * B.alpha + (1.0 - lam) * C.alpha,
-                lam * B.avec + (1.0 - lam) * C.avec,
-            )
-            if not is_coexistent(A, mixed):
-                violations += 1
-                break
-    return SuiteResult("convex-combination", checked, violations, skipped)
+    return _closure_suite("convex-combination", n, seed, 3, _mixture, n_lambdas, max_draws_factor)
 
 
 def suite_scaling(n: int, seed: int, n_lambdas: int = 10, max_draws_factor: int = 60) -> SuiteResult:
     """A coexistent with B implies A coexistent with every downscaling of B."""
-    rng = np.random.default_rng(seed)
-    lambdas = np.linspace(0.0, 1.0, n_lambdas)
-    checked = 0
-    skipped = 0
-    violations = 0
-    draws = 0
-    while checked < n and draws < max_draws_factor * n:
-        draws += 1
-        A, B = random_effect_pair(rng)
-        if not is_coexistent(A, B):
-            skipped += 1
-            continue
-        checked += 1
-        for lam in lambdas:
-            scaled = BlochEffect(lam * B.alpha, lam * B.avec)
-            if not is_coexistent(A, scaled):
-                violations += 1
-                break
-    return SuiteResult("scaling", checked, violations, skipped)
+    return _closure_suite("scaling", n, seed, 2, _downscaling, n_lambdas, max_draws_factor)
 
 
 def _busch_pair(rng: np.random.Generator) -> RelativePair:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .bloch import BlochEffect, RelativePair, complement, relative_pair
 from .coexist import C3, Verdict, classify
+from .tolerance import BOUNDARY_TOL, FULL_LENGTH_TOL, PSD_TOL
 
 __all__ = [
     "InequalityReport",
@@ -33,9 +34,6 @@ __all__ = [
     "gamma_interval_2ci",
     "operator_inequalities_hold",
 ]
-
-PSD_TOL = 1e-9
-_FULL_LENGTH_TOL = 1e-9
 
 
 class WitnessError(RuntimeError):
@@ -128,7 +126,7 @@ def gamma_interval_2ci(p: RelativePair) -> tuple[float, float] | None:
             b parallel to a = alpha, or antiparallel sharp projections.
     """
     b = p.b
-    if abs(b - p.beta) > _FULL_LENGTH_TOL:
+    if abs(b - p.beta) > FULL_LENGTH_TOL:
         raise ValueError(f"requires ||b|| = beta: got b={b!r}, beta={p.beta!r}")
     # alpha beta - a bx as a sum of terms that keep their digits when b is
     # nearly parallel to a = alpha
@@ -143,7 +141,7 @@ def gamma_interval_2ci(p: RelativePair) -> tuple[float, float] | None:
         * ((2.0 - p.alpha - p.beta) ** 2 - ((p.a + p.bx) ** 2 + p.by * p.by))
         / den_lo
     )
-    if g_hi - g_lo < -1e-12:
+    if g_hi - g_lo < -BOUNDARY_TOL:
         return None
     lo = max(g_lo, 0.0)
     hi = min(g_hi, min(p.alpha, p.beta))

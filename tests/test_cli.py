@@ -176,6 +176,30 @@ class TestDecideErrors:
         assert code == EXIT_USAGE
         assert "no such file" in err
 
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "effect.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, ["decide", str(path), PROJ_Y])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: effect A: cannot read {path}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            ('{"matrix": [["0.5", 0], [0, 0], [0, 0], [1, 0]]}', "matrix"),
+            ('{"matrix": [[0.5, 0], [0, 0], [0, 0], [true, 0]]}', "matrix"),
+            ('{"alpha": "0.5", "a": [0, 0, 0]}', "alpha"),
+            ('{"alpha": 0.5, "a": [0, false, 0]}', "a"),
+        ],
+        ids=["matrix-string", "matrix-bool", "alpha-string", "a-bool"],
+    )
+    def test_numbers_must_be_json_numbers(self, capsys, spec, field):
+        code, out, err = run(capsys, ["decide", spec, PROJ_Y])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: effect A: field '{field}' ")
+
     def test_invalid_effect_parameters(self, capsys):
         code, _, err = run(capsys, ["decide", '{"alpha": 0.3, "a": [0.5, 0, 0]}', PROJ_Y])
         assert code == EXIT_USAGE

@@ -8,8 +8,6 @@ import pytest
 from qcoex.bloch import RelativePair, effect_from_bloch, relative_pair
 from qcoex.coexist import by_max, classify
 from qcoex.oracle import (
-    ENDPOINT_TOL,
-    MEMBERSHIP_SLACK,
     DiskSystem,
     _minimax,
     disks_at,
@@ -21,6 +19,7 @@ from qcoex.oracle import (
     random_effect_pair,
 )
 from qcoex.selftest import suite_oracle_agreement
+from qcoex.tolerance import BOUNDARY_TOL, ENDPOINT_TOL
 from qcoex.witness import gamma_interval_2ci
 
 SQRT3_INV = 1.0 / math.sqrt(3.0)
@@ -81,11 +80,11 @@ class TestCircleIntersections:
     def test_disjoint_and_nested(self):
         assert disks_feasible(two_disks((0.0, 0.0), 1.0, (5.0, 0.0), 1.0)) is None
         nested = two_disks((0.0, 0.0), 3.0, (0.5, 0.0), 1.0)
-        assert point_violation(nested, disks_feasible(nested)) <= MEMBERSHIP_SLACK
+        assert point_violation(nested, disks_feasible(nested)) <= BOUNDARY_TOL
 
     def test_concentric(self):
         d = two_disks((0.0, 0.0), 1.0, (0.0, 0.0), 1.0)
-        assert point_violation(d, disks_feasible(d)) <= MEMBERSHIP_SLACK
+        assert point_violation(d, disks_feasible(d)) <= BOUNDARY_TOL
 
 
 def rounded_disk_systems(rng, parallelogram: bool, n_centers: int, n_radii: int):
@@ -129,7 +128,7 @@ class TestDisksFeasible:
         d = disks_at(p, 0.15)
         pt = disks_feasible(d)
         assert pt is not None
-        assert point_violation(d, pt) <= MEMBERSHIP_SLACK
+        assert point_violation(d, pt) <= BOUNDARY_TOL
 
     def test_orthogonal_projections_never_feasible(self):
         p = RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)
@@ -141,7 +140,7 @@ class TestDisksFeasible:
         d = disks_at(p, 0.5)
         assert disks_feasible(d) is not None
         planar = (0.5 * SQRT3_INV, 0.5 * SQRT3_INV)
-        assert point_violation(d, planar) <= MEMBERSHIP_SLACK
+        assert point_violation(d, planar) <= BOUNDARY_TOL
 
     def test_agrees_with_rejection_sampling(self):
         # 10^6 sampled points across random systems: sampling never finds a
@@ -168,7 +167,7 @@ class TestDisksFeasible:
             if verdict is None:
                 assert not sampled_feasible
             else:
-                assert point_violation(d, verdict) <= MEMBERSHIP_SLACK
+                assert point_violation(d, verdict) <= BOUNDARY_TOL
 
 
 class TestOracleScan:
@@ -208,7 +207,7 @@ class TestOracleScan:
             res = oracle_scan(p, 10_000)
             if not res.coexistent:
                 continue
-            assert point_violation(disks_at(p, res.gamma), res.point) <= MEMBERSHIP_SLACK
+            assert point_violation(disks_at(p, res.gamma), res.point) <= BOUNDARY_TOL
             gmax = min(p.alpha, p.beta)
             for edge, outward in ((res.gamma_lo, -ENDPOINT_TOL), (res.gamma_hi, ENDPOINT_TOL)):
                 assert disks_feasible(disks_at(p, edge)) is not None

@@ -1,0 +1,98 @@
+"""The tolerance policy: every tolerance lives in qcoex.tolerance, and each
+shared value is pinned at its edge, 0.9 of it admitted and 1.1 of it not."""
+
+import ast
+import tokenize
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qcoex.bloch import (
+    InvalidEffectError,
+    RelativePair,
+    effect_from_bloch,
+    effect_from_matrix,
+    sharpness_scalar,
+)
+from qcoex.coexist import classify
+from qcoex.oracle import DiskSystem, disks_feasible
+from qcoex.tolerance import BOUNDARY_TOL, DOMAIN_TOL, MATRIX_TOL
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qcoex"
+# a number literal this small or smaller reads as a tolerance
+LARGEST_TOLERANCE = 1e-6
+
+INSIDE = 0.9
+OUTSIDE = 1.1
+
+
+def small_literals(path: Path) -> list[str]:
+    """Number tokens of the file with 0 < |x| <= LARGEST_TOLERANCE (docstrings are string tokens)."""
+    with tokenize.open(path) as f:
+        tokens = list(tokenize.generate_tokens(f.readline))
+    return [
+        f"{path.name}:{tok.start[0]}: {tok.string}"
+        for tok in tokens
+        if tok.type == tokenize.NUMBER and 0.0 < abs(ast.literal_eval(tok.string)) <= LARGEST_TOLERANCE
+    ]
+
+
+def test_only_the_tolerance_module_writes_a_tolerance():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "tolerance.py" in modules
+    found = [site for path in modules if path.name != "tolerance.py" for site in small_literals(path)]
+    assert found == []
+
+
+class TestDomainTol:
+    @pytest.mark.parametrize("scale,admitted", [(INSIDE, True), (OUTSIDE, False)])
+    def test_effect_bounds(self, scale, admitted):
+        for alpha, match in ((0.5 - scale * DOMAIN_TOL, "lower bound"), (1.5 + scale * DOMAIN_TOL, "upper bound")):
+            if admitted:
+                effect_from_bloch(alpha, (0.5, 0.0, 0.0))
+            else:
+                with pytest.raises(InvalidEffectError, match=match):
+                    effect_from_bloch(alpha, (0.5, 0.0, 0.0))
+
+
+class TestMatrixTol:
+    @pytest.mark.parametrize("scale,admitted", [(INSIDE, True), (OUTSIDE, False)])
+    def test_hermiticity_and_eigenvalues(self, scale, admitted):
+        excess = scale * MATRIX_TOL
+        cases = (
+            (np.array([[0.5, 0.2 + excess], [0.2, 0.5]]), "Hermitian"),
+            (np.diag([1.0 + excess, 0.3]), "above 1"),
+            (np.diag([0.5, -excess]), "below 0"),
+        )
+        for mat, match in cases:
+            if admitted:
+                effect_from_matrix(mat)
+            else:
+                with pytest.raises(InvalidEffectError, match=match):
+                    effect_from_matrix(mat)
+
+
+class TestBoundaryTol:
+    @pytest.mark.parametrize("scale,coexistent", [(INSIDE, True), (OUTSIDE, False)])
+    def test_classify_cap_and_junction_height(self, scale, coexistent):
+        past = scale * BOUNDARY_TOL
+        cap = classify(RelativePair(0.6, 0.5, 0.9, 0.1, 0.1)).by_max
+        assert classify(RelativePair(0.6, 0.5, 0.9, 0.1, cap + past)).coexistent == coexistent
+        # sharp projections: the cap at the tip and the height past it are 0
+        for bx in (1.0, 1.0 + 2.0**-52):
+            assert classify(RelativePair(1.0, 1.0, 1.0, bx, past)).coexistent == coexistent
+
+    @pytest.mark.parametrize("scale,restricted", [(INSIDE, False), (OUTSIDE, True)])
+    def test_classify_c1_threshold(self, scale, restricted):
+        beta = (1.0 - sharpness_scalar(0.6, 0.5)) + scale * BOUNDARY_TOL
+        v = classify(RelativePair(0.6, 0.5, beta, 0.1, 0.2))
+        assert (v.b0 is not None) == restricted
+
+    @pytest.mark.parametrize("scale,feasible", [(INSIDE, True), (OUTSIDE, False)])
+    def test_disks_feasible(self, scale, feasible):
+        # equal disks centred 1 apart, each ending scale * BOUNDARY_TOL short
+        # of the midpoint, where the minimax violation is that shortfall
+        r = 0.5 - scale * BOUNDARY_TOL
+        centers = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        assert (disks_feasible(DiskSystem(centers, [r] * 4, 0.0)) is not None) == feasible

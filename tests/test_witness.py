@@ -17,8 +17,8 @@ from qcoex.bloch import (
 )
 from qcoex.coexist import boundary_curve, by_max, classify, is_coexistent
 from qcoex.oracle import random_effect_pair
+from qcoex.tolerance import PSD_TOL
 from qcoex.witness import (
-    PSD_TOL,
     InequalityReport,
     Witness,
     assemble_observable,
