@@ -23,7 +23,7 @@ from .bloch import (
     sharpness,
 )
 from .coexist import boundary_curve, classify
-from .oracle import DEFAULT_GRID, oracle_coexistent
+from .oracle import _MAX_GRID, oracle_scan
 from .selftest import run_all
 from .witness import assemble_observable, find_witness
 
@@ -180,7 +180,7 @@ def _cmd_decide(args) -> int:
     if args.witness:
         payload["witness"] = _witness_payload(A, B)
     if args.oracle:
-        result = oracle_coexistent(A, B, grid=DEFAULT_GRID)
+        result = oracle_scan(pair)
         payload["oracle"] = {
             "coexistent": result.coexistent,
             "margin": result.margin,
@@ -195,12 +195,15 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
+    explicit = (args.alpha, args.a, args.beta)
     if args.preset is not None:
+        if any(v is not None for v in explicit):
+            raise SpecError("boundary: give --preset or --alpha, --a, --beta, not both")
         alpha, a, beta = PRESETS[args.preset]
     else:
-        if args.alpha is None or args.a is None or args.beta is None:
+        if None in explicit:
             raise SpecError("boundary: give --preset or all of --alpha, --a, --beta")
-        alpha, a, beta = args.alpha, args.a, args.beta
+        alpha, a, beta = explicit
     try:
         curve = boundary_curve(alpha, a, beta, n_samples=args.samples)
     except ValueError as exc:
@@ -246,8 +249,8 @@ def _cmd_selftest(args) -> int:
         raise SpecError(f"selftest: --samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise SpecError(f"selftest: --seed must be non-negative, got {args.seed}")
-    if args.grid < 100:
-        raise SpecError(f"selftest: --grid must be at least 100, got {args.grid}")
+    if not 100 <= args.grid <= _MAX_GRID:
+        raise SpecError(f"selftest: --grid must be between 100 and {_MAX_GRID}, got {args.grid}")
     results = run_all(args.samples, args.seed, oracle_grid=args.grid)
     all_pass = True
     for res in results:

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 10_000
+# Largest grid oracle_scan accepts: its profile holds a value and a point per gamma.
+_MAX_GRID = 1_000_000
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
@@ -186,21 +188,23 @@ def disks_feasible(d: DiskSystem) -> tuple[float, float] | None:
     return None
 
 
-def _violation_profile(p: RelativePair, gammas: np.ndarray) -> np.ndarray:
-    """Minimax violation at each gamma, evaluated in chunks of _CHUNK gammas."""
+def _violation_profile(p: RelativePair, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimax violation (m,) and point (m, 2) at each of m gammas, in chunks of _CHUNK
+    (the kernel treats each column alone, so the chunking moves no value)."""
     centers = _centers(p)
-    return np.concatenate(
-        [
-            _minimax(centers, _radii(p, gammas[i : i + _CHUNK]))[0]
-            for i in range(0, gammas.size, _CHUNK)
-        ]
-    )
+    values = []
+    points = np.empty((gammas.size, 2))
+    for i in range(0, gammas.size, _CHUNK):
+        chunk = slice(i, i + _CHUNK)
+        value, points[chunk] = _minimax(centers, _radii(p, gammas[chunk]))
+        values.append(value)
+    return np.concatenate(values), points
 
 
 def _search(
     p: RelativePair, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink gamma brackets [lo, hi] to at most ``tol``, one kernel call per step.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shrink gamma brackets [lo, hi] to at most ``tol``, one profile call per step.
 
     Each step samples every bracket at _CELLS + 1 evenly spaced gammas.
     With ``sign`` 0 the best sample has the lowest profile value and the two
@@ -208,15 +212,15 @@ def _search(
     profile.  With ``sign`` +1 (-1) the best sample is the lowest (highest)
     feasible gamma and the cell outside it is kept, which closes on the
     lower (upper) edge of the feasible interval; such a bracket needs a
-    feasible gamma at its inner end.  Returns the best sample of each
-    bracket and its profile value.
+    feasible gamma at its inner end.  Returns each bracket's best sample:
+    its gamma, profile value and minimax point, shapes (n,), (n,), (n, 2).
     """
-    centers = _centers(p)
     rows = np.arange(lo.size)
     for _ in range(64):  # each step shrinks every bracket at least 16-fold
         gammas = lo[:, None] + (hi - lo)[:, None] * _STEPS
         gammas[:, -1] = hi
-        values = _minimax(centers, _radii(p, gammas.ravel()))[0].reshape(gammas.shape)
+        values, points = _violation_profile(p, gammas.ravel())
+        values = values.reshape(gammas.shape)
         key = np.where(
             sign[:, None] == 0.0,
             values,
@@ -227,7 +231,7 @@ def _search(
             break
         lo = gammas[rows, np.maximum(best - (sign >= 0.0), 0)]
         hi = gammas[rows, np.minimum(best + (sign <= 0.0), _CELLS)]
-    return gammas[rows, best], values[rows, best]
+    return gammas[rows, best], values[rows, best], points[rows * (_CELLS + 1) + best]
 
 
 @dataclass(frozen=True)
@@ -254,42 +258,36 @@ def oracle_scan(p: RelativePair, grid: int = DEFAULT_GRID) -> OracleResult:
     The grid scan locates the (interval-shaped) feasible gamma set.  When no
     grid gamma is feasible, a bracket search around the grid minimum catches
     intervals thinner than the grid step.  The same search then closes on
-    both interval edges from their grid brackets, to ``ENDPOINT_TOL``.  The
-    certificate point is the minimax point at the best gamma.
+    both interval edges from their grid brackets, to ``ENDPOINT_TOL``.
+    Returns the smallest profile value found as the margin and, when it is
+    feasible, its gamma, the minimax point of the same kernel evaluation
+    (the certificate) and the interval edges.
     """
-    if grid < 100:
-        raise ValueError(f"grid must be at least 100, got {grid!r}")
+    if not 100 <= grid <= _MAX_GRID:
+        raise ValueError(f"grid must be between 100 and {_MAX_GRID}, got {grid!r}")
     gmax = min(p.alpha, p.beta)
-    if gmax <= 0.0:
-        gammas = np.array([0.0])
-    else:
-        gammas = np.linspace(0.0, gmax, grid + 1)
-    profile = _violation_profile(p, gammas)
+    gammas = np.linspace(0.0, gmax, grid + 1) if gmax > 0.0 else np.array([0.0])
+    profile, points = _violation_profile(p, gammas)
     k = int(np.argmin(profile))
-    margin = float(profile[k])
-    g_best = float(gammas[k])
+    margin, g_best, point = float(profile[k]), float(gammas[k]), tuple(points[k].tolist())
+    del points  # hold only the best point, not the (m, 2) array, through the searches
     last = gammas.size - 1
     if margin > BOUNDARY_TOL and last > 0:
         lo, hi = gammas[[max(k - 1, 0)]], gammas[[min(k + 1, last)]]
-        (g_ref,), (v_ref,) = _search(p, lo, hi, np.zeros(1), MINIMUM_TOL)
+        (g_ref,), (v_ref,), (p_ref,) = _search(p, lo, hi, np.zeros(1), MINIMUM_TOL)
         if v_ref < margin:
-            margin, g_best = float(v_ref), float(g_ref)
+            margin, g_best, point = float(v_ref), float(g_ref), tuple(p_ref.tolist())
     if margin > BOUNDARY_TOL:
         return OracleResult(False, margin)
 
     # each edge is bracketed by the outermost feasible gamma found and the
     # grid gamma beyond it; the bracket is empty at 0 or gmax
     inside = np.flatnonzero(profile <= BOUNDARY_TOL)
-    if inside.size:
-        first, final = inside[0], inside[-1]
-        found = gammas[[first, final]]
-    else:
-        first = final = k
-        found = np.array([g_best, g_best])
+    first, final = (inside[0], inside[-1]) if inside.size else (k, k)
+    found = gammas[[first, final]] if inside.size else np.array([g_best, g_best])
     lo = np.array([gammas[max(first - 1, 0)], found[1]])
     hi = np.array([found[0], gammas[min(final + 1, last)]])
-    (g_lo, g_hi), _ = _search(p, lo, hi, np.array([1.0, -1.0]), ENDPOINT_TOL)
-    point = disks_feasible(disks_at(p, g_best))
+    (g_lo, g_hi), _, _ = _search(p, lo, hi, np.array([1.0, -1.0]), ENDPOINT_TOL)
     return OracleResult(True, margin, g_best, point, float(g_lo), float(g_hi))
 
 

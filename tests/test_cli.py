@@ -296,6 +296,13 @@ class TestBoundary:
         assert code == EXIT_USAGE
         assert "alpha" in err
 
+    @pytest.mark.parametrize("option, value", [("--alpha", "0.3"), ("--a", "0.2"), ("--beta", "0.9")])
+    def test_preset_with_explicit_parameter_rejected(self, capsys, option, value):
+        code, out, err = run(capsys, ["boundary", "--preset", "fig1a", option, value])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: boundary: ") and err.count("\n") == 1
+
     def test_too_many_samples_rejected(self, capsys):
         code, out, err = run(capsys, ["boundary", "--preset", "fig1b", "--samples", "100001"])
         assert code == EXIT_USAGE
@@ -357,7 +364,13 @@ class TestSelftest:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--samples", "-3"), ("--seed", "-1"), ("--grid", "10")],
+        [
+            ("--samples", "-3"),
+            ("--seed", "-1"),
+            ("--grid", "10"),
+            ("--grid", "1000001"),
+            ("--grid", "10000000000"),
+        ],
     )
     def test_bad_argument_is_an_input_error(self, capsys, option, value):
         code, out, err = run(capsys, ["selftest", option, value])

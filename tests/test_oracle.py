@@ -8,8 +8,10 @@ import pytest
 from qcoex.bloch import RelativePair, effect_from_bloch, relative_pair
 from qcoex.coexist import by_max, classify
 from qcoex.oracle import (
+    _MAX_GRID,
     DiskSystem,
     _minimax,
+    _violation_profile,
     disks_at,
     disks_feasible,
     oracle_coexistent,
@@ -197,16 +199,32 @@ class TestOracleScan:
         assert res.gamma == pytest.approx(gamma_expected, abs=1e-3)
         assert res.gamma_hi - res.gamma_lo < 1e-3
 
-    def test_certificate_and_edges(self):
-        # the certificate lies in every disk, both edges are feasible and
-        # ENDPOINT_TOL beyond an inner edge is not
+    def test_certificate_and_edges(self, monkeypatch):
+        # the certificate is the minimax point of the scan's own evaluation
+        # at the best gamma, so it equals a fresh disk-system test there; it
+        # lies in every disk, both edges are feasible and ENDPOINT_TOL
+        # beyond an inner edge is not
         rng = np.random.default_rng(2025)
         pairs = [relative_pair(*random_effect_pair(rng))[0] for _ in range(200)]
         pairs.append(RelativePair(0.6, 0.5, 1.0, 0.0, by_max(0.6, 0.5, 1.0, 0.0)))
-        for p in pairs:
-            res = oracle_scan(p, 10_000)
+        thin = RelativePair(0.6, 0.5, 0.9, 0.123, by_max(0.6, 0.5, 0.9, 0.123))
+        pairs.append(thin)
+        # no grid gamma of the last pair is feasible: its certificate comes
+        # from the bracket search
+        assert _violation_profile(thin, np.linspace(0.0, 0.6, 10_001))[0].min() > BOUNDARY_TOL
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan rebuilt a disk system")
+
+        monkeypatch.setattr("qcoex.oracle.disks_at", refuse)
+        monkeypatch.setattr("qcoex.oracle.disks_feasible", refuse)
+        results = [oracle_scan(p, 10_000) for p in pairs]
+        monkeypatch.undo()
+        assert results[-1].coexistent
+        for p, res in zip(pairs, results):
             if not res.coexistent:
                 continue
+            assert res.point == disks_feasible(disks_at(p, res.gamma))
             assert point_violation(disks_at(p, res.gamma), res.point) <= BOUNDARY_TOL
             gmax = min(p.alpha, p.beta)
             for edge, outward in ((res.gamma_lo, -ENDPOINT_TOL), (res.gamma_hi, ENDPOINT_TOL)):
@@ -215,8 +233,6 @@ class TestOracleScan:
                     assert disks_feasible(disks_at(p, edge + outward)) is None
 
     def test_feasible_gamma_set_is_interval(self):
-        from qcoex.oracle import _violation_profile
-
         rng = np.random.default_rng(29)
         for _ in range(60):
             A, B = random_effect_pair(rng)
@@ -224,7 +240,7 @@ class TestOracleScan:
             gmax = min(p.alpha, p.beta)
             if gmax <= 0.0:
                 continue
-            prof = _violation_profile(p, np.linspace(0.0, gmax, 400))
+            prof, _ = _violation_profile(p, np.linspace(0.0, gmax, 400))
             deep = np.flatnonzero(prof <= -1e-9)
             if deep.size:
                 assert np.array_equal(deep, np.arange(deep[0], deep[-1] + 1))
@@ -260,6 +276,15 @@ class TestOracleScan:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="grid"):
             oracle_scan(RelativePair(0.6, 0.5, 0.6, 0.0, 0.1), 10)
+
+    @pytest.mark.parametrize("grid", [_MAX_GRID + 1, 10**10])
+    def test_grid_above_bound_rejected_before_any_work(self, grid, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr("qcoex.oracle.np.linspace", refuse)
+        with pytest.raises(ValueError, match="grid"):
+            oracle_scan(RelativePair(0.6, 0.5, 0.6, 0.0, 0.1), grid)
 
 
 class TestOracleCoexistent:
