@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochEffect, RelativePair, relative_pair
-from .tolerance import BOUNDARY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL
+from .tolerance import BOUNDARY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL, PRUNE_TOL
 
 __all__ = [
     "DiskSystem",
@@ -175,6 +175,21 @@ def _minimax(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.nda
     return worst[best, cols], np.stack([x[best, cols], y[best, cols]], axis=1)
 
 
+def _balance_bound(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Lower bound on the minimax violation, one disk system per column.
+
+    ``centers`` is (4, 2) and ``radii`` (4, m), as for _minimax.  At any
+    point g, max(f_i, f_j) >= (||g - c_i|| + ||g - c_j|| - r_i - r_j) / 2
+    >= (||c_i - c_j|| - r_i - r_j) / 2 for every two disks, and f_i >= -r_i.
+    Returns the largest of these, shape (m,).
+    """
+    bound = -radii.min(axis=0)
+    for i, j in _PAIRS:
+        d = float(np.linalg.norm(centers[j] - centers[i]))
+        np.maximum(bound, (d - radii[i] - radii[j]) / 2.0, out=bound)
+    return bound
+
+
 def disks_feasible(d: DiskSystem) -> tuple[float, float] | None:
     """Exact finite feasibility test; returns the minimax point when it is inside.
 
@@ -199,6 +214,38 @@ def _violation_profile(p: RelativePair, gammas: np.ndarray) -> tuple[np.ndarray,
         value, points[chunk] = _minimax(centers, _radii(p, gammas[chunk]))
         values.append(value)
     return np.concatenate(values), points
+
+
+def _grid_profile(p: RelativePair, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_violation_profile on the grid, run only where the balance bound allows.
+
+    A column whose bound exceeds both BOUNDARY_TOL and the smallest value
+    found by more than PRUNE_TOL has a minimax above both, so it is neither
+    feasible nor the minimum: it keeps the value inf and an unset point.
+    The first pass runs the columns whose bound is within PRUNE_TOL of the
+    feasibility cut, and the column of the smallest bound; later passes run
+    those within PRUNE_TOL of the smallest value found, which adds columns
+    only when that value is not feasible.  The kernel treats each column
+    alone, so every value kept equals the full grid's.
+    """
+    # profile and points before the bound: the other order leaves free heap
+    # that later large temporaries reuse without page faults, which moves
+    # perfbench's array probe (CHANGES.md)
+    profile = np.full(gammas.size, np.inf)
+    points = np.empty((gammas.size, 2))
+    centers = _centers(p)
+    bound = np.concatenate(
+        [_balance_bound(centers, _radii(p, gammas[i : i + _CHUNK])) for i in range(0, gammas.size, _CHUNK)]
+    )
+    done = np.zeros(gammas.size, dtype=bool)
+    todo = bound <= BOUNDARY_TOL + PRUNE_TOL
+    todo[np.argmin(bound)] = True
+    while todo.any():
+        cols = np.flatnonzero(todo)
+        profile[cols], points[cols] = _violation_profile(p, gammas[cols])
+        done |= todo
+        todo = ~done & (bound <= profile.min() + PRUNE_TOL)
+    return profile, points
 
 
 def _search(
@@ -255,19 +302,23 @@ class OracleResult:
 def oracle_scan(p: RelativePair, grid: int = DEFAULT_GRID) -> OracleResult:
     """Scan gamma over [0, min(alpha, beta)] and decide feasibility.
 
-    The grid scan locates the (interval-shaped) feasible gamma set.  When no
-    grid gamma is feasible, a bracket search around the grid minimum catches
-    intervals thinner than the grid step.  The same search then closes on
-    both interval edges from their grid brackets, to ``ENDPOINT_TOL``.
+    The grid scan locates the (interval-shaped) feasible gamma set.  The
+    kernel runs only on the grid gammas whose balance bound, a lower bound
+    on the minimax violation from pairs of disks, leaves them a chance to
+    be feasible or the grid minimum; every other gamma is neither, so the
+    result equals that of a full-grid scan.  When no grid gamma is
+    feasible, a bracket search around the grid minimum catches intervals
+    thinner than the grid step.  The same search then closes on both
+    interval edges from their grid brackets, to ``ENDPOINT_TOL``.
     Returns the smallest profile value found as the margin and, when it is
     feasible, its gamma, the minimax point of the same kernel evaluation
     (the certificate) and the interval edges.
     """
-    if not 100 <= grid <= _MAX_GRID:
+    if isinstance(grid, bool) or not isinstance(grid, int) or not 100 <= grid <= _MAX_GRID:
         raise ValueError(f"grid must be between 100 and {_MAX_GRID}, got {grid!r}")
     gmax = min(p.alpha, p.beta)
     gammas = np.linspace(0.0, gmax, grid + 1) if gmax > 0.0 else np.array([0.0])
-    profile, points = _violation_profile(p, gammas)
+    profile, points = _grid_profile(p, gammas)
     k = int(np.argmin(profile))
     margin, g_best, point = float(profile[k]), float(gammas[k]), tuple(points[k].tolist())
     del points  # hold only the best point, not the (m, 2) array, through the searches

@@ -10,7 +10,11 @@ from qcoex.coexist import by_max, classify
 from qcoex.oracle import (
     _MAX_GRID,
     DiskSystem,
+    _balance_bound,
+    _centers,
+    _grid_profile,
     _minimax,
+    _radii,
     _violation_profile,
     disks_at,
     disks_feasible,
@@ -21,7 +25,7 @@ from qcoex.oracle import (
     random_effect_pair,
 )
 from qcoex.selftest import suite_oracle_agreement
-from qcoex.tolerance import BOUNDARY_TOL, ENDPOINT_TOL
+from qcoex.tolerance import BOUNDARY_TOL, ENDPOINT_TOL, PRUNE_TOL
 from qcoex.witness import gamma_interval_2ci
 
 SQRT3_INV = 1.0 / math.sqrt(3.0)
@@ -104,6 +108,31 @@ def rounded_disk_systems(rng, parallelogram: bool, n_centers: int, n_radii: int)
         yield centers, np.round(rng.uniform(-0.3, 1.5, (4, n_radii)), 1)
 
 
+def pair_systems(pairs, m: int):
+    """(centers, radii) of each canonical pair over m gammas spanning [0, gmax]."""
+    for p in pairs:
+        gmax = min(p.alpha, p.beta)
+        yield _centers(p), _radii(p, np.linspace(0.0, gmax, m) if gmax > 0.0 else np.array([0.0]))
+
+
+# sharp projections turned by 1e-1 to 1e-10 rad: nearly coincident centers
+NEAR_PARALLEL = [RelativePair(1.0, 1.0, 1.0, math.cos(t), math.sin(t)) for t in 10.0 ** -np.arange(1, 11)]
+# a = 0 (coincident centers), by = 0 (collinear centers), gmax = 0 (one gamma)
+DEGENERATE = [
+    RelativePair(0.6, 0.0, 0.9, 0.3, 0.2),
+    RelativePair(0.6, 0.5, 0.9, 0.3, 0.0),
+    RelativePair(0.0, 0.0, 0.9, 0.3, 0.0),
+    RelativePair(0.6, 0.5, 0.0, 0.0, 0.0),
+]
+
+
+def kernel_systems(seed: int):
+    rng = np.random.default_rng(seed)
+    yield from rounded_disk_systems(rng, True, 60, 33)
+    yield from rounded_disk_systems(rng, False, 60, 33)
+    yield from pair_systems(NEAR_PARALLEL, 1001)
+
+
 class TestMinimaxKernel:
     @pytest.mark.parametrize("parallelogram", [True, False])
     def test_minimum_is_exact(self, parallelogram):
@@ -122,6 +151,25 @@ class TestMinimaxKernel:
                 assert abs(values[col] - point_violation(d, points[col])) <= 1e-15
                 grid_best = (dist - radii[:, col, None]).max(axis=0).min()
                 assert grid_best >= values[col] - 1e-12
+
+    def test_columns_are_independent(self):
+        # the kernel on any subset of columns returns, bit for bit, those
+        # columns of a call on all of them, so skipping columns moves no value
+        rng = np.random.default_rng(10)
+        for centers, radii in kernel_systems(9):
+            values, points = _minimax(centers, radii)
+            for size in (1, 2, 7, radii.shape[1] // 2):
+                cols = np.sort(rng.choice(radii.shape[1], size, replace=False))
+                sub_values, sub_points = _minimax(centers, radii[:, cols])
+                assert sub_values.tobytes() == values[cols].tobytes()
+                assert sub_points.tobytes() == points[cols].tobytes()
+
+    def test_balance_bound_is_below_the_minimum(self):
+        # the bound exceeds the kernel's value by roundoff at most (2.2e-16
+        # at worst here), far inside PRUNE_TOL
+        for centers, radii in [*kernel_systems(11), *pair_systems(DEGENERATE, 1001)]:
+            values, _ = _minimax(centers, radii)
+            assert np.all(_balance_bound(centers, radii) <= values + PRUNE_TOL)
 
 
 class TestDisksFeasible:
@@ -172,6 +220,10 @@ class TestDisksFeasible:
                 assert point_violation(d, verdict) <= BOUNDARY_TOL
 
 
+# on the boundary, with a feasible gamma interval thinner than a 10^4 grid step
+THIN = RelativePair(0.6, 0.5, 0.9, 0.123, by_max(0.6, 0.5, 0.9, 0.123))
+
+
 class TestOracleScan:
     def test_c1_pair_feasible(self):
         p = RelativePair(0.6, 0.5, 0.6, 0.1, 0.4)
@@ -207,11 +259,10 @@ class TestOracleScan:
         rng = np.random.default_rng(2025)
         pairs = [relative_pair(*random_effect_pair(rng))[0] for _ in range(200)]
         pairs.append(RelativePair(0.6, 0.5, 1.0, 0.0, by_max(0.6, 0.5, 1.0, 0.0)))
-        thin = RelativePair(0.6, 0.5, 0.9, 0.123, by_max(0.6, 0.5, 0.9, 0.123))
-        pairs.append(thin)
+        pairs.append(THIN)
         # no grid gamma of the last pair is feasible: its certificate comes
         # from the bracket search
-        assert _violation_profile(thin, np.linspace(0.0, 0.6, 10_001))[0].min() > BOUNDARY_TOL
+        assert _violation_profile(THIN, np.linspace(0.0, 0.6, 10_001))[0].min() > BOUNDARY_TOL
 
         def refuse(*args, **kwargs):
             raise AssertionError("the scan rebuilt a disk system")
@@ -231,6 +282,55 @@ class TestOracleScan:
                 assert disks_feasible(disks_at(p, edge)) is not None
                 if edge not in (0.0, gmax):
                     assert disks_feasible(disks_at(p, edge + outward)) is None
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            RelativePair(1.0, 1.0, 1.0, 0.0, 1.0),
+            THIN,
+            # just outside the boundary: infeasible by 3.5e-10
+            RelativePair(0.6, 0.5, 0.9, 0.123, by_max(0.6, 0.5, 0.9, 0.123) + 1e-9),
+            # the column of the smallest bound is infeasible, others are not
+            RelativePair(
+                0.9285790228949626, 0.3576064278268254, 0.5256263646528546, 0.05217797552575973, 0.5207958373170408
+            ),
+            # infeasible, no bound within the cut, the smallest bound two
+            # columns off the minimum: only the second pass finds it
+            RelativePair(
+                0.7581886929555416, 0.6044129809292922, 0.9840470676502402, -0.624652189274578, 0.6933200632854388
+            ),
+            NEAR_PARALLEL[2],
+        ],
+        ids=["orthogonal", "thin", "outside", "bound-argmin-infeasible", "second-pass", "near-parallel"],
+    )
+    def test_skipped_columns_change_nothing(self, p, monkeypatch):
+        gammas = np.linspace(0.0, min(p.alpha, p.beta), 10_001)
+        full, full_points = _violation_profile(p, gammas)
+        profile, points = _grid_profile(p, gammas)
+        k = int(np.argmin(full))
+        assert int(np.argmin(profile)) == k
+        assert profile[k] == full[k]
+        assert points[k].tobytes() == full_points[k].tobytes()
+        assert np.array_equal(np.flatnonzero(profile <= BOUNDARY_TOL), np.flatnonzero(full <= BOUNDARY_TOL))
+        kept = np.isfinite(profile)
+        assert profile[kept].tobytes() == full[kept].tobytes()
+        # and the scan returns what it returns with no column skipped
+        res = oracle_scan(p, 10_000)
+        no_bound = lambda centers, radii: np.full(radii.shape[1], -np.inf)  # noqa: E731
+        monkeypatch.setattr("qcoex.oracle._balance_bound", no_bound)
+        assert oracle_scan(p, 10_000) == res
+
+    def test_orthogonal_projections_skip_most_columns(self, monkeypatch):
+        columns = []
+
+        def counting(centers, radii):
+            columns.append(radii.shape[1])
+            return kernel(centers, radii)
+
+        kernel = _minimax
+        monkeypatch.setattr("qcoex.oracle._minimax", counting)
+        assert not oracle_scan(RelativePair(1.0, 1.0, 1.0, 0.0, 1.0), 10_000).coexistent
+        assert sum(columns) < 0.1 * 10_001
 
     def test_feasible_gamma_set_is_interval(self):
         rng = np.random.default_rng(29)
@@ -274,8 +374,10 @@ class TestOracleScan:
         assert res.coexistent
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError, match="grid"):
-            oracle_scan(RelativePair(0.6, 0.5, 0.6, 0.0, 0.1), 10)
+        # too small, not an int (a float, even a whole one), a bool
+        for grid in (10, 100.5, 1000.0, True):
+            with pytest.raises(ValueError, match="grid must be between"):
+                oracle_scan(RelativePair(0.6, 0.5, 0.6, 0.0, 0.1), grid)
 
     @pytest.mark.parametrize("grid", [_MAX_GRID + 1, 10**10])
     def test_grid_above_bound_rejected_before_any_work(self, grid, monkeypatch):
