@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochEffect, RelativePair, relative_pair
-from .tolerance import BOUNDARY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL, PRUNE_TOL
+from .tolerance import BOUNDARY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL
 
 __all__ = [
     "DiskSystem",
@@ -32,16 +32,16 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 10_000
-# Largest grid oracle_scan accepts: its profile holds a value and a point per gamma.
+# Largest grid oracle_scan accepts: it holds the grid's gammas.
 _MAX_GRID = 1_000_000
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-# Grid gammas per kernel call, which bounds the kernel's temporaries.
-_CHUNK = 2048
-# A refinement step samples each bracket at the ends of _CELLS equal cells.
+# A search step samples each bracket at the ends of _CELLS equal cells.
 _CELLS = 32
 _STEPS = np.linspace(0.0, 1.0, _CELLS + 1)
+# signs of the two roots of each triple point's quadratic, in candidate order
+_ROOTS = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,103 +91,108 @@ def point_violation(d: DiskSystem, point) -> float:
     return worst
 
 
-def _minimax(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _geometry(centers: np.ndarray) -> tuple:
+    """Per-pair constants of _minimax, which depend on the centers and not on gamma.
+
+    Returns the centers (4, 2); the indices i, j (2, n) of the n pairs of
+    distinct centers, with c_i, the unit vector from c_i to c_j and their
+    distance, (5, n, 1); and the indices i, j, k (3, t) of the t triples of
+    non-collinear centers, with c_i, det M times the columns of M^-1
+    (m11, -m10, -m01, m00), det M and |c_j|^2 - |c_i|^2, |c_k|^2 - |c_i|^2,
+    (9, t, 1), where M is the matrix of the triple's linear system.
+    """
+    pairs, balance = [], []
+    for i, j in _PAIRS:
+        ci, cj = centers[i], centers[j]
+        d = float(np.linalg.norm(cj - ci))
+        if d != 0.0:
+            pairs.append((i, j))
+            balance.append((*ci, *((cj - ci) / d), d))
+    triples, systems = [], []
+    for i, j, k in _TRIPLES:
+        # ||g - c|| - r = t for three disks is linear in g given t and
+        # quadratic in t, the classical tangent-circle construction
+        ci, cj, ck = centers[i], centers[j], centers[k]
+        m00 = 2.0 * (cj[0] - ci[0])
+        m01 = 2.0 * (cj[1] - ci[1])
+        m10 = 2.0 * (ck[0] - ci[0])
+        m11 = 2.0 * (ck[1] - ci[1])
+        det = m00 * m11 - m01 * m10
+        if abs(det) < DEGENERATE_TOL:
+            continue
+        triples.append((i, j, k))
+        systems.append((*ci, m11, -m10, -m01, m00, det, float(cj @ cj - ci @ ci), float(ck @ ck - ci @ ci)))
+    return (
+        centers,
+        np.array(pairs, dtype=np.intp).reshape(-1, 2).T,
+        np.array(balance).reshape(-1, 5).T[..., None],
+        np.array(triples, dtype=np.intp).reshape(-1, 3).T,
+        np.array(systems).reshape(-1, 9).T[..., None],
+    )
+
+
+def _minimax(geometry: tuple, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest max violation over the candidate points, one disk system per column.
 
-    ``centers`` is (4, 2) and ``radii`` (4, m).  Each violation
-    ``||g - c_i|| - r_i`` is convex in g, so at a minimizer of their maximum
-    0 lies in the convex hull of the active violations' gradients.  Away
-    from the centers these are unit vectors pointing from each center to
-    the minimizer, and 0 lies in the hull of two of them (opposite, so the
-    minimizer is the balance point on the segment between their centers,
-    where the two violations are equal) or of three (a triple point, where
-    three are equal; collinear centers reduce to the two-vector case).  The
-    candidates are therefore the 4 centers, the 6 balance points and the 8
-    triple points: the minimum found is the exact minimax, and the system
-    is feasible exactly when it is <= 0.
+    ``geometry`` holds the four centers' constants (_geometry) and ``radii``
+    is (4, m).  Each violation ``||g - c_i|| - r_i`` is convex in g, so at a
+    minimizer of their maximum 0 lies in the convex hull of the active
+    violations' gradients.  Away from the centers these are unit vectors
+    pointing from each center to the minimizer, and 0 lies in the hull of
+    two of them (opposite, so the minimizer is the balance point on the
+    segment between their centers, where the two violations are equal) or
+    of three (a triple point, where three are equal; collinear centers
+    reduce to the two-vector case).  The candidates are therefore the 4
+    centers, the 6 balance points and the 8 triple points: the minimum
+    found is the exact minimax, and the system is feasible exactly when it
+    is <= 0.  Each step forms all balance or all triple points at once, in
+    one array operation over (x, y), candidates and columns.
     Returns that minimum, shape (m,), and the point attaining it, (m, 2).
     """
+    centers, pairs, balance, triples, systems = geometry
     m = radii.shape[1]
-    xs = [np.full(m, cx) for cx in centers[:, 0]]
-    ys = [np.full(m, cy) for cy in centers[:, 1]]
     with np.errstate(invalid="ignore", divide="ignore"):
-        for i, j in _PAIRS:
-            ci = centers[i]
-            cj = centers[j]
-            d = float(np.linalg.norm(cj - ci))
-            if d == 0.0:
-                continue
-            ex = (cj - ci) / d
-            # balance point on the segment between the centers
-            s = (d + radii[i] - radii[j]) / 2.0
-            xs.append(ci[0] + s * ex[0])
-            ys.append(ci[1] + s * ex[1])
+        # balance point on the segment between the centers, (2, n, m)
+        i, j = pairs
+        s = (balance[4] + radii[i] - radii[j]) / 2.0
+        halfway = balance[:2] + s * balance[2:4]
 
-        for i, j, k in _TRIPLES:
-            # ||g - c|| - r = t for three disks is linear in g given t and
-            # quadratic in t, the classical tangent-circle construction
-            ci, cj, ck = centers[i], centers[j], centers[k]
-            m00 = 2.0 * (cj[0] - ci[0])
-            m01 = 2.0 * (cj[1] - ci[1])
-            m10 = 2.0 * (ck[0] - ci[0])
-            m11 = 2.0 * (ck[1] - ci[1])
-            det = m00 * m11 - m01 * m10
-            if abs(det) < DEGENERATE_TOL:
-                continue
-            ri, rj, rk = radii[i], radii[j], radii[k]
-            u1 = float(cj @ cj - ci @ ci) + ri * ri - rj * rj
-            u2 = float(ck @ ck - ci @ ci) + ri * ri - rk * rk
-            v1 = 2.0 * (ri - rj)
-            v2 = 2.0 * (ri - rk)
-            g0x = (m11 * u1 - m01 * u2) / det
-            g0y = (-m10 * u1 + m00 * u2) / det
-            g1x = (m11 * v1 - m01 * v2) / det
-            g1y = (-m10 * v1 + m00 * v2) / det
-            w0x = g0x - ci[0]
-            w0y = g0y - ci[1]
-            qa = g1x * g1x + g1y * g1y - 1.0
-            qb = 2.0 * (w0x * g1x + w0y * g1y - ri)
-            qc = w0x * w0x + w0y * w0y - ri * ri
-            disc = qb * qb - 4.0 * qa * qc
-            sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
-            linear = np.abs(qa) < DEGENERATE_TOL
-            t_lin = np.where(np.abs(qb) > DEGENERATE_TOL, -qc / np.where(qb != 0.0, qb, 1.0), np.nan)
-            for sign in (1.0, -1.0):
-                t = np.where(linear, t_lin, (-qb + sign * sq) / (2.0 * np.where(linear, 1.0, qa)))
-                xs.append(g0x + t * g1x)
-                ys.append(g0y + t * g1y)
+        # triple points g = g0 + t g1, (2, t, m), with t a root of a quadratic
+        i, j, k = triples
+        e1, e2 = systems[2:6].reshape(2, 2, -1, 1)
+        det = systems[6]
+        ri, rj, rk = radii[i], radii[j], radii[k]
+        u1 = systems[7] + ri * ri - rj * rj
+        u2 = systems[8] + ri * ri - rk * rk
+        g0 = (e1 * u1 + e2 * u2) / det
+        g1 = (e1 * (2.0 * (ri - rj)) + e2 * (2.0 * (ri - rk))) / det
+        w0 = g0 - systems[:2]
+        qa = (g1 * g1).sum(axis=0) - 1.0
+        qb = 2.0 * ((w0 * g1).sum(axis=0) - ri)
+        qc = (w0 * w0).sum(axis=0) - ri * ri
+        disc = qb * qb - 4.0 * qa * qc
+        sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+        linear = np.abs(qa) < DEGENERATE_TOL
+        t_lin = np.where(np.abs(qb) > DEGENERATE_TOL, -qc / np.where(qb != 0.0, qb, 1.0), np.nan)
+        # both roots of each triple, (t, 2, m): the root with +sq first
+        root = (-qb[:, None] + _ROOTS * sq[:, None]) / (2.0 * np.where(linear, 1.0, qa))[:, None]
+        t = np.where(linear[:, None], t_lin[:, None], root)
+        triple = (g0[:, :, None] + t * g1[:, :, None]).reshape(2, -1, m)
 
-    x = np.array(xs)
-    y = np.array(ys)
-    worst = np.full(x.shape, -np.inf)
-    for (cx, cy), r in zip(centers, radii):
-        dx = x - cx
-        dx *= dx
-        dy = y - cy
-        dy *= dy
-        dx += dy
-        np.sqrt(dx, out=dx)
-        dx -= r
-        np.maximum(worst, dx, out=worst)
+        # candidates in order: centers, balance points, triple points, (2, c, m)
+        xy = np.concatenate([np.broadcast_to(centers.T[..., None], (2, 4, m)), halfway, triple], axis=1)
+
+    # the violations of every candidate, (4, c, m)
+    dist = xy[:, None] - centers.T[:, :, None, None]
+    dist *= dist
+    dist = dist.sum(axis=0)
+    np.sqrt(dist, out=dist)
+    dist -= radii[:, None]
+    worst = dist.max(axis=0)
     worst[~np.isfinite(worst)] = np.inf
     best = worst.argmin(axis=0)
     cols = np.arange(m)
-    return worst[best, cols], np.stack([x[best, cols], y[best, cols]], axis=1)
-
-
-def _balance_bound(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Lower bound on the minimax violation, one disk system per column.
-
-    ``centers`` is (4, 2) and ``radii`` (4, m), as for _minimax.  At any
-    point g, max(f_i, f_j) >= (||g - c_i|| + ||g - c_j|| - r_i - r_j) / 2
-    >= (||c_i - c_j|| - r_i - r_j) / 2 for every two disks, and f_i >= -r_i.
-    Returns the largest of these, shape (m,).
-    """
-    bound = -radii.min(axis=0)
-    for i, j in _PAIRS:
-        d = float(np.linalg.norm(centers[j] - centers[i]))
-        np.maximum(bound, (d - radii[i] - radii[j]) / 2.0, out=bound)
-    return bound
+    return worst[best, cols], xy[:, best, cols].T
 
 
 def disks_feasible(d: DiskSystem) -> tuple[float, float] | None:
@@ -197,88 +202,68 @@ def disks_feasible(d: DiskSystem) -> tuple[float, float] | None:
     in every disk (within ``BOUNDARY_TOL``) exactly when the system is
     feasible.
     """
-    value, point = _minimax(d.centers, d.radii[:, None])
+    value, point = _minimax(_geometry(d.centers), d.radii[:, None])
     if value[0] <= BOUNDARY_TOL:
         return float(point[0, 0]), float(point[0, 1])
     return None
 
 
-def _violation_profile(p: RelativePair, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimax violation (m,) and point (m, 2) at each of m gammas, in chunks of _CHUNK
-    (the kernel treats each column alone, so the chunking moves no value)."""
-    centers = _centers(p)
-    values = []
-    points = np.empty((gammas.size, 2))
-    for i in range(0, gammas.size, _CHUNK):
-        chunk = slice(i, i + _CHUNK)
-        value, points[chunk] = _minimax(centers, _radii(p, gammas[chunk]))
-        values.append(value)
-    return np.concatenate(values), points
+class _Profile:
+    """The violation profile of one pair: minimax value (m,) and point (m, 2) at m gammas.
 
-
-def _grid_profile(p: RelativePair, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_violation_profile on the grid, run only where the balance bound allows.
-
-    A column whose bound exceeds both BOUNDARY_TOL and the smallest value
-    found by more than PRUNE_TOL has a minimax above both, so it is neither
-    feasible nor the minimum: it keeps the value inf and an unset point.
-    The first pass runs the columns whose bound is within PRUNE_TOL of the
-    feasibility cut, and the column of the smallest bound; later passes run
-    those within PRUNE_TOL of the smallest value found, which adds columns
-    only when that value is not feasible.  The kernel treats each column
-    alone, so every value kept equals the full grid's.
+    The kernel's per-pair constants are built once; ``calls`` and
+    ``columns`` count the kernel calls made and the gammas they evaluated.
     """
-    # profile and points before the bound: the other order leaves free heap
-    # that later large temporaries reuse without page faults, which moves
-    # perfbench's array probe (CHANGES.md)
-    profile = np.full(gammas.size, np.inf)
-    points = np.empty((gammas.size, 2))
-    centers = _centers(p)
-    bound = np.concatenate(
-        [_balance_bound(centers, _radii(p, gammas[i : i + _CHUNK])) for i in range(0, gammas.size, _CHUNK)]
-    )
-    done = np.zeros(gammas.size, dtype=bool)
-    todo = bound <= BOUNDARY_TOL + PRUNE_TOL
-    todo[np.argmin(bound)] = True
-    while todo.any():
-        cols = np.flatnonzero(todo)
-        profile[cols], points[cols] = _violation_profile(p, gammas[cols])
-        done |= todo
-        todo = ~done & (bound <= profile.min() + PRUNE_TOL)
-    return profile, points
+
+    def __init__(self, p: RelativePair):
+        self.p = p
+        self.geometry = _geometry(_centers(p))
+        self.calls = 0
+        self.columns = 0
+
+    def __call__(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        self.calls += 1
+        self.columns += gammas.size
+        return _minimax(self.geometry, _radii(self.p, gammas))
 
 
 def _search(
-    p: RelativePair, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, tol: float
+    profile: _Profile, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, tol: float, grid: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shrink gamma brackets [lo, hi] to at most ``tol``, one profile call per step.
+    """Shrink brackets [lo, hi] to at most ``tol``, one profile call per step.
 
-    Each step samples every bracket at _CELLS + 1 evenly spaced gammas.
-    With ``sign`` 0 the best sample has the lowest profile value and the two
-    cells around it are kept, which closes on the minimum of the convex
-    profile.  With ``sign`` +1 (-1) the best sample is the lowest (highest)
-    feasible gamma and the cell outside it is kept, which closes on the
-    lower (upper) edge of the feasible interval; such a bracket needs a
-    feasible gamma at its inner end.  Returns each bracket's best sample:
-    its gamma, profile value and minimax point, shapes (n,), (n,), (n, 2).
+    Each step samples every bracket at _CELLS + 1 evenly spaced positions:
+    gammas, or with ``grid`` indices into that array of gammas, rounded
+    down.  With ``sign`` 0 the best sample has the lowest profile value and
+    the two cells around it are kept, which closes on the minimum of the
+    convex profile.  With ``sign`` +1 (-1) the best sample is the lowest
+    (highest) feasible position and the cell outside it is kept, which
+    closes on the lower (upper) edge of the feasible interval; such a
+    bracket needs a feasible position at its inner end.  With ``grid`` and
+    ``tol`` _CELLS the last step samples every index of its bracket, so it
+    returns the grid's own minimum or edge.  Returns each bracket's best
+    sample: its position, profile value and minimax point, shapes (n,), (n,),
+    (n, 2).
     """
     rows = np.arange(lo.size)
     for _ in range(64):  # each step shrinks every bracket at least 16-fold
-        gammas = lo[:, None] + (hi - lo)[:, None] * _STEPS
-        gammas[:, -1] = hi
-        values, points = _violation_profile(p, gammas.ravel())
-        values = values.reshape(gammas.shape)
+        at = lo[:, None] + (hi - lo)[:, None] * _STEPS
+        at[:, -1] = hi
+        if grid is not None:
+            at = at.astype(np.intp)  # exact: integer ends, dyadic steps
+        values, points = profile((at if grid is None else grid[at]).ravel())
+        values = values.reshape(at.shape)
         key = np.where(
             sign[:, None] == 0.0,
             values,
-            np.where(values <= BOUNDARY_TOL, sign[:, None] * gammas, np.inf),
+            np.where(values <= BOUNDARY_TOL, sign[:, None] * at, np.inf),
         )
         best = key.argmin(axis=1)
         if np.max(hi - lo) <= tol:
             break
-        lo = gammas[rows, np.maximum(best - (sign >= 0.0), 0)]
-        hi = gammas[rows, np.minimum(best + (sign <= 0.0), _CELLS)]
-    return gammas[rows, best], values[rows, best], points[rows * (_CELLS + 1) + best]
+        lo = at[rows, np.maximum(best - (sign >= 0.0), 0)]
+        hi = at[rows, np.minimum(best + (sign <= 0.0), _CELLS)]
+    return at[rows, best], values[rows, best], points[rows * (_CELLS + 1) + best]
 
 
 @dataclass(frozen=True)
@@ -288,7 +273,9 @@ class OracleResult:
     ``margin`` is the minimum over gamma of the best max constraint
     violation: negative means feasible with that much slack, positive means
     infeasible by that much.  The certificate (gamma, point) and the refined
-    feasible gamma interval are present when coexistent.
+    feasible gamma interval are present when coexistent.  ``kernel_calls``
+    and ``columns`` are the work done: minimax kernel calls and the gammas
+    they evaluated.
     """
 
     coexistent: bool
@@ -297,49 +284,59 @@ class OracleResult:
     point: tuple[float, float] | None = None
     gamma_lo: float | None = None
     gamma_hi: float | None = None
+    kernel_calls: int = 0
+    columns: int = 0
 
 
 def oracle_scan(p: RelativePair, grid: int = DEFAULT_GRID) -> OracleResult:
     """Scan gamma over [0, min(alpha, beta)] and decide feasibility.
 
-    The grid scan locates the (interval-shaped) feasible gamma set.  The
-    kernel runs only on the grid gammas whose balance bound, a lower bound
-    on the minimax violation from pairs of disks, leaves them a chance to
-    be feasible or the grid minimum; every other gamma is neither, so the
-    result equals that of a full-grid scan.  When no grid gamma is
+    Each disk's violation ``||g - c_i|| - r_i(gamma)`` is jointly convex in
+    ``(g, gamma)``, because its radius is linear in gamma.  So is their
+    maximum, and minimizing that over g leaves a convex function of gamma,
+    the violation profile.  Its feasible set, where it is at most
+    ``BOUNDARY_TOL``, is therefore an interval, and the grid of ``grid``
+    steps is searched, not evaluated: a multisection on grid indices keeps
+    the neighbours of the best of 33 samples until it holds the grid
+    minimum, and when that is feasible the same search, on the feasibility
+    of each sample, finds the first and last feasible grid gammas.  On a
+    flat minimum the search keeps a sample within roundoff of the lowest
+    grid value, not necessarily its first index.  When no grid gamma is
     feasible, a bracket search around the grid minimum catches intervals
     thinner than the grid step.  The same search then closes on both
     interval edges from their grid brackets, to ``ENDPOINT_TOL``.
     Returns the smallest profile value found as the margin and, when it is
     feasible, its gamma, the minimax point of the same kernel evaluation
-    (the certificate) and the interval edges.
+    (the certificate) and the interval edges, with the work done.
     """
     if isinstance(grid, bool) or not isinstance(grid, int) or not 100 <= grid <= _MAX_GRID:
         raise ValueError(f"grid must be between 100 and {_MAX_GRID}, got {grid!r}")
     gmax = min(p.alpha, p.beta)
     gammas = np.linspace(0.0, gmax, grid + 1) if gmax > 0.0 else np.array([0.0])
-    profile, points = _grid_profile(p, gammas)
-    k = int(np.argmin(profile))
-    margin, g_best, point = float(profile[k]), float(gammas[k]), tuple(points[k].tolist())
-    del points  # hold only the best point, not the (m, 2) array, through the searches
     last = gammas.size - 1
-    if margin > BOUNDARY_TOL and last > 0:
+    profile = _Profile(p)
+    (k,), (margin,), (point,) = _search(profile, np.array([0]), np.array([last]), np.zeros(1), _CELLS, gammas)
+    on_grid = margin <= BOUNDARY_TOL
+    margin, g_best, point = float(margin), float(gammas[k]), tuple(point.tolist())
+    if not on_grid and last > 0:
         lo, hi = gammas[[max(k - 1, 0)]], gammas[[min(k + 1, last)]]
-        (g_ref,), (v_ref,), (p_ref,) = _search(p, lo, hi, np.zeros(1), MINIMUM_TOL)
+        (g_ref,), (v_ref,), (p_ref,) = _search(profile, lo, hi, np.zeros(1), MINIMUM_TOL)
         if v_ref < margin:
             margin, g_best, point = float(v_ref), float(g_ref), tuple(p_ref.tolist())
     if margin > BOUNDARY_TOL:
-        return OracleResult(False, margin)
+        return OracleResult(False, margin, kernel_calls=profile.calls, columns=profile.columns)
 
     # each edge is bracketed by the outermost feasible gamma found and the
     # grid gamma beyond it; the bracket is empty at 0 or gmax
-    inside = np.flatnonzero(profile <= BOUNDARY_TOL)
-    first, final = (inside[0], inside[-1]) if inside.size else (k, k)
-    found = gammas[[first, final]] if inside.size else np.array([g_best, g_best])
+    first = final = k
+    if on_grid:
+        edges = _search(profile, np.array([0, k]), np.array([k, last]), np.array([1.0, -1.0]), _CELLS, gammas)
+        first, final = edges[0]
+    found = gammas[[first, final]] if on_grid else np.array([g_best, g_best])
     lo = np.array([gammas[max(first - 1, 0)], found[1]])
     hi = np.array([found[0], gammas[min(final + 1, last)]])
-    (g_lo, g_hi), _, _ = _search(p, lo, hi, np.array([1.0, -1.0]), ENDPOINT_TOL)
-    return OracleResult(True, margin, g_best, point, float(g_lo), float(g_hi))
+    (g_lo, g_hi), _, _ = _search(profile, lo, hi, np.array([1.0, -1.0]), ENDPOINT_TOL)
+    return OracleResult(True, margin, g_best, point, float(g_lo), float(g_hi), profile.calls, profile.columns)
 
 
 def oracle_coexistent(A: BlochEffect, B: BlochEffect, grid: int = DEFAULT_GRID) -> OracleResult:

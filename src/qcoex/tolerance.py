@@ -52,14 +52,6 @@ PSD_TOL = 1e-9
 # gamma_interval_2ci's domain: how far ||b|| may sit from beta.  Length units.
 FULL_LENGTH_TOL = 1e-9
 
-# Oracle grid: roundoff of a gamma's balance bound (a lower bound on its
-# minimax violation, from pairs of disks alone) against the kernel's
-# measured minimax value there; the bound has exceeded that value by at
-# most 2.2e-16.  A grid gamma is skipped only when its bound exceeds both
-# BOUNDARY_TOL and the smallest value found by more than this.  Length
-# units.
-PRUNE_TOL = 1e-12
-
 # Oracle search: bracket width at which the feasible gamma interval's
 # edges are taken as found.  Gamma units.
 ENDPOINT_TOL = 1e-10

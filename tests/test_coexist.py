@@ -141,6 +141,13 @@ class TestClassify:
         assert v.by_max == 0.0
         assert classify(RelativePair(1.0, 1.0, 1.0, bx, 1e-13)).coexistent
 
+    @pytest.mark.xfail(strict=True, reason="the cap's radicands are formed by subtraction and lose digits near a tip")
+    def test_cap_near_a_tip(self):
+        # mpmath's cap here is 1.329e-08, so by = 1.622e-08 lies 2.9e-9 above
+        # it; the cap computed by subtraction reads 1.622e-08
+        p = RelativePair(0.2048001708754399, 0.20480017087543992, 1.0, -0.9999999999999999, 1.622063859729121e-08)
+        assert not classify(p).coexistent
+
     def test_interval_fields_presence(self):
         c1 = classify(RelativePair(0.6, 0.5, 0.6, 0.1, 0.3))
         assert c1.b0 is None and c1.w is None and c1.by_max is None

@@ -5,17 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from qcoex.bloch import RelativePair, effect_from_bloch, relative_pair
+import qcoex
+import workloads
+from qcoex.bloch import BlochEffect, RelativePair, effect_from_bloch, relative_pair
 from qcoex.coexist import by_max, classify
 from qcoex.oracle import (
     _MAX_GRID,
     DiskSystem,
-    _balance_bound,
     _centers,
-    _grid_profile,
+    _geometry,
     _minimax,
+    _Profile,
     _radii,
-    _violation_profile,
+    _search,
     disks_at,
     disks_feasible,
     oracle_coexistent,
@@ -25,7 +27,7 @@ from qcoex.oracle import (
     random_effect_pair,
 )
 from qcoex.selftest import suite_oracle_agreement
-from qcoex.tolerance import BOUNDARY_TOL, ENDPOINT_TOL, PRUNE_TOL
+from qcoex.tolerance import BOUNDARY_TOL, ENDPOINT_TOL, MINIMUM_TOL
 from qcoex.witness import gamma_interval_2ci
 
 SQRT3_INV = 1.0 / math.sqrt(3.0)
@@ -142,7 +144,7 @@ class TestMinimaxKernel:
         rng = np.random.default_rng(7 if parallelogram else 8)
         side = np.linspace(0.0, 1.0, 201)
         for centers, radii in rounded_disk_systems(rng, parallelogram, 150, 8):
-            values, points = _minimax(centers, radii)
+            values, points = _minimax(_geometry(centers), radii)
             lo, hi = centers.min(axis=0), centers.max(axis=0)
             gx, gy = np.meshgrid(lo[0] + (hi[0] - lo[0]) * side, lo[1] + (hi[1] - lo[1]) * side)
             dist = np.stack([np.hypot(gx - cx, gy - cy).ravel() for cx, cy in centers])
@@ -154,22 +156,17 @@ class TestMinimaxKernel:
 
     def test_columns_are_independent(self):
         # the kernel on any subset of columns returns, bit for bit, those
-        # columns of a call on all of them, so skipping columns moves no value
+        # columns of a call on all of them, so a search's samples read the
+        # values of a full-grid evaluation
         rng = np.random.default_rng(10)
         for centers, radii in kernel_systems(9):
-            values, points = _minimax(centers, radii)
+            geometry = _geometry(centers)
+            values, points = _minimax(geometry, radii)
             for size in (1, 2, 7, radii.shape[1] // 2):
                 cols = np.sort(rng.choice(radii.shape[1], size, replace=False))
-                sub_values, sub_points = _minimax(centers, radii[:, cols])
+                sub_values, sub_points = _minimax(geometry, radii[:, cols])
                 assert sub_values.tobytes() == values[cols].tobytes()
                 assert sub_points.tobytes() == points[cols].tobytes()
-
-    def test_balance_bound_is_below_the_minimum(self):
-        # the bound exceeds the kernel's value by roundoff at most (2.2e-16
-        # at worst here), far inside PRUNE_TOL
-        for centers, radii in [*kernel_systems(11), *pair_systems(DEGENERATE, 1001)]:
-            values, _ = _minimax(centers, radii)
-            assert np.all(_balance_bound(centers, radii) <= values + PRUNE_TOL)
 
 
 class TestDisksFeasible:
@@ -220,6 +217,26 @@ class TestDisksFeasible:
                 assert point_violation(d, verdict) <= BOUNDARY_TOL
 
 
+def criterion_3_pairs(n: int) -> list[RelativePair]:
+    """The first n pairs of acceptance criterion 3's oracle agreement sweep."""
+    rng = np.random.default_rng(2025)
+    return [relative_pair(*random_effect_pair(rng))[0] for _ in range(n)]
+
+
+def near_boundary_pairs(n: int) -> list[RelativePair]:
+    """The first n oracle pairs of perfbench's near-boundary stream (seed 1), and its fault pairs."""
+    stream = workloads.Stream("near-boundary", 1, qcoex)
+    cases = [stream.next("oracle") for _ in range(n)] + workloads.fault_cases()
+    return [relative_pair(BlochEffect(*c.A), BlochEffect(*c.B))[0] for c in cases]
+
+
+def full_profile(p: RelativePair, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The profile at every gamma, in kernel calls of 1024 gammas (each column is computed alone)."""
+    profile = _Profile(p)
+    parts = [profile(gammas[i : i + 1024]) for i in range(0, gammas.size, 1024)]
+    return np.concatenate([v for v, _ in parts]), np.concatenate([pt for _, pt in parts])
+
+
 # on the boundary, with a feasible gamma interval thinner than a 10^4 grid step
 THIN = RelativePair(0.6, 0.5, 0.9, 0.123, by_max(0.6, 0.5, 0.9, 0.123))
 
@@ -262,7 +279,7 @@ class TestOracleScan:
         pairs.append(THIN)
         # no grid gamma of the last pair is feasible: its certificate comes
         # from the bracket search
-        assert _violation_profile(THIN, np.linspace(0.0, 0.6, 10_001))[0].min() > BOUNDARY_TOL
+        assert full_profile(THIN, np.linspace(0.0, 0.6, 10_001))[0].min() > BOUNDARY_TOL
 
         def refuse(*args, **kwargs):
             raise AssertionError("the scan rebuilt a disk system")
@@ -284,53 +301,88 @@ class TestOracleScan:
                     assert disks_feasible(disks_at(p, edge + outward)) is None
 
     @pytest.mark.parametrize(
-        "p",
+        "pairs",
         [
-            RelativePair(1.0, 1.0, 1.0, 0.0, 1.0),
-            THIN,
+            lambda: [RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)],
+            lambda: [THIN],
             # just outside the boundary: infeasible by 3.5e-10
-            RelativePair(0.6, 0.5, 0.9, 0.123, by_max(0.6, 0.5, 0.9, 0.123) + 1e-9),
-            # the column of the smallest bound is infeasible, others are not
-            RelativePair(
-                0.9285790228949626, 0.3576064278268254, 0.5256263646528546, 0.05217797552575973, 0.5207958373170408
-            ),
-            # infeasible, no bound within the cut, the smallest bound two
-            # columns off the minimum: only the second pass finds it
-            RelativePair(
-                0.7581886929555416, 0.6044129809292922, 0.9840470676502402, -0.624652189274578, 0.6933200632854388
-            ),
-            NEAR_PARALLEL[2],
+            lambda: [RelativePair(0.6, 0.5, 0.9, 0.123, by_max(0.6, 0.5, 0.9, 0.123) + 1e-9)],
+            # two criterion-3 pairs that mislead a grid pruned by a two-disk
+            # lower bound on the profile: the least bound sits at an
+            # infeasible gamma while others are feasible, or two grid steps
+            # off the infeasible minimum
+            lambda: [
+                RelativePair(
+                    0.9285790228949626, 0.3576064278268254, 0.5256263646528546, 0.05217797552575973, 0.5207958373170408
+                )
+            ],
+            lambda: [
+                RelativePair(
+                    0.7581886929555416, 0.6044129809292922, 0.9840470676502402, -0.624652189274578, 0.6933200632854388
+                )
+            ],
+            lambda: [NEAR_PARALLEL[2]],
+            lambda: criterion_3_pairs(200),
+            lambda: near_boundary_pairs(48),
         ],
-        ids=["orthogonal", "thin", "outside", "bound-argmin-infeasible", "second-pass", "near-parallel"],
+        ids=[
+            "orthogonal",
+            "thin",
+            "outside",
+            "bound-argmin-infeasible",
+            "second-pass",
+            "near-parallel",
+            "criterion-3",
+            "near-boundary",
+        ],
     )
-    def test_skipped_columns_change_nothing(self, p, monkeypatch):
-        gammas = np.linspace(0.0, min(p.alpha, p.beta), 10_001)
-        full, full_points = _violation_profile(p, gammas)
-        profile, points = _grid_profile(p, gammas)
-        k = int(np.argmin(full))
-        assert int(np.argmin(profile)) == k
-        assert profile[k] == full[k]
-        assert points[k].tobytes() == full_points[k].tobytes()
-        assert np.array_equal(np.flatnonzero(profile <= BOUNDARY_TOL), np.flatnonzero(full <= BOUNDARY_TOL))
-        kept = np.isfinite(profile)
-        assert profile[kept].tobytes() == full[kept].tobytes()
-        # and the scan returns what it returns with no column skipped
-        res = oracle_scan(p, 10_000)
-        no_bound = lambda centers, radii: np.full(radii.shape[1], -np.inf)  # noqa: E731
-        monkeypatch.setattr("qcoex.oracle._balance_bound", no_bound)
-        assert oracle_scan(p, 10_000) == res
+    def test_search_matches_full_grid(self, pairs):
+        # the reference evaluates all 10^4 + 1 grid gammas and refines an
+        # infeasible grid minimum as the scan does; the scan's search must
+        # find its verdict, its first and last feasible grid gammas (the
+        # grid brackets of gamma_lo and gamma_hi) and its margin, on a
+        # profile that is convex to roundoff
+        for p in pairs():
+            gmax = min(p.alpha, p.beta)
+            gammas = np.linspace(0.0, gmax, 10_001)
+            full, _ = full_profile(p, gammas)
+            assert np.diff(full, 2).min() >= -1e-15
+            k = int(np.argmin(full))
+            margin = full[k]
+            if margin > BOUNDARY_TOL:
+                lo, hi = gammas[[max(k - 1, 0)]], gammas[[min(k + 1, 10_000)]]
+                _, (refined,), _ = _search(_Profile(p), lo, hi, np.zeros(1), MINIMUM_TOL)
+                margin = min(margin, refined)
+            res = oracle_scan(p, 10_000)
+            assert res.coexistent == (margin <= BOUNDARY_TOL)
+            assert abs(res.margin - margin) <= 1e-15
+            if not res.coexistent:
+                continue
+            inside = np.flatnonzero(full <= BOUNDARY_TOL)
+            if inside.size:
+                assert np.searchsorted(gammas, res.gamma_lo) == inside[0]
+                assert np.searchsorted(gammas, res.gamma_hi, side="right") - 1 == inside[-1]
+            assert res.gamma_lo <= res.gamma <= res.gamma_hi
+            assert point_violation(disks_at(p, res.gamma), res.point) <= BOUNDARY_TOL
 
-    def test_orthogonal_projections_skip_most_columns(self, monkeypatch):
+    def test_work_is_counted_and_bounded(self, monkeypatch):
+        # kernel_calls and columns are the scan's kernel calls and the gammas
+        # they evaluated; on criterion 3's pairs no scan takes more than 20
+        # calls or 1000 columns, a tenth of the grid
         columns = []
 
-        def counting(centers, radii):
+        def counting(geometry, radii):
             columns.append(radii.shape[1])
-            return kernel(centers, radii)
+            return kernel(geometry, radii)
 
         kernel = _minimax
         monkeypatch.setattr("qcoex.oracle._minimax", counting)
-        assert not oracle_scan(RelativePair(1.0, 1.0, 1.0, 0.0, 1.0), 10_000).coexistent
-        assert sum(columns) < 0.1 * 10_001
+        for p in [RelativePair(1.0, 1.0, 1.0, 0.0, 1.0), THIN, *criterion_3_pairs(200)]:
+            columns.clear()
+            res = oracle_scan(p, 10_000)
+            assert (res.kernel_calls, res.columns) == (len(columns), sum(columns))
+            assert res.kernel_calls <= 20
+            assert res.columns <= 1000
 
     def test_feasible_gamma_set_is_interval(self):
         rng = np.random.default_rng(29)
@@ -340,7 +392,7 @@ class TestOracleScan:
             gmax = min(p.alpha, p.beta)
             if gmax <= 0.0:
                 continue
-            prof, _ = _violation_profile(p, np.linspace(0.0, gmax, 400))
+            prof, _ = _Profile(p)(np.linspace(0.0, gmax, 400))
             deep = np.flatnonzero(prof <= -1e-9)
             if deep.size:
                 assert np.array_equal(deep, np.arange(deep[0], deep[-1] + 1))

@@ -16,8 +16,8 @@ from qcoex.bloch import (
     sharpness_scalar,
 )
 from qcoex.coexist import classify
-from qcoex.oracle import DiskSystem, _grid_profile, disks_feasible
-from qcoex.tolerance import BOUNDARY_TOL, DOMAIN_TOL, MATRIX_TOL, PRUNE_TOL
+from qcoex.oracle import DiskSystem, disks_feasible
+from qcoex.tolerance import BOUNDARY_TOL, DOMAIN_TOL, MATRIX_TOL
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qcoex"
 # a number literal this small or smaller reads as a tolerance
@@ -97,15 +97,3 @@ class TestBoundaryTol:
         centers = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
         assert (disks_feasible(DiskSystem(centers, [r] * 4, 0.0)) is not None) == feasible
 
-
-class TestPruneTol:
-    @pytest.mark.parametrize("scale,evaluated", [(INSIDE, 101), (OUTSIDE, 1)])
-    def test_grid_columns_reaching_the_kernel(self, scale, evaluated, monkeypatch):
-        # every column's bound set just past the feasibility cut: the column
-        # of the smallest bound (gamma 0, feasible) always runs, the others
-        # only within PRUNE_TOL of the cut
-        cut = BOUNDARY_TOL + scale * PRUNE_TOL
-        monkeypatch.setattr("qcoex.oracle._balance_bound", lambda centers, radii: np.full(radii.shape[1], cut))
-        profile, _ = _grid_profile(RelativePair(0.6, 0.5, 0.6, 0.1, 0.4), np.linspace(0.0, 0.6, 101))
-        assert profile[0] <= BOUNDARY_TOL
-        assert np.isfinite(profile).sum() == evaluated
