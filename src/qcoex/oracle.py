@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochEffect, RelativePair, relative_pair
-from .tolerance import BOUNDARY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL
+from .tolerance import BOUNDARY_TOL, CONVEXITY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL
 
 __all__ = [
     "DiskSystem",
@@ -227,31 +227,128 @@ class _Profile:
         return _minimax(self.geometry, _radii(self.p, gammas))
 
 
+def _outward(x: list, f: list, b: int, step: int) -> list:
+    """The two nearest (position, value) samples beyond sample b, leftward (``step`` -1) or rightward (+1).
+
+    ``x`` is sorted; a repeated position is taken once.  Fewer than two
+    are returned at the end of the bracket.
+    """
+    found, last, j = [], x[b], b + step
+    while 0 <= j < len(x) and len(found) < 2:
+        if x[j] != last:
+            found.append((x[j], f[j]))
+            last = x[j]
+        j += step
+    return found
+
+
+def _secant_bound(x1: float, f1: float, x2: float, f2: float, level: float) -> float:
+    """First position beyond sample x1, away from sample x2, where the profile can be at most ``level``.
+
+    Beyond x1 the line through (x2, f2 + CONVEXITY_TOL) and (x1, f1 -
+    CONVEXITY_TOL) lies below every convex function within CONVEXITY_TOL
+    of both samples.  Returns where that line falls to ``level`` +
+    CONVEXITY_TOL, or x1 if it starts below that or does not fall.
+    """
+    drop = f2 - f1 + 2.0 * CONVEXITY_TOL
+    if not drop > 0.0:
+        return x1
+    return x1 + max((f1 - level - 2.0 * CONVEXITY_TOL) / drop, 0.0) * (x1 - x2)
+
+
+def _cut(x: list, f: list, b: int, sign: float, whole: bool) -> tuple:
+    """One bracket's next bracket and extra sample, from this step's sorted samples ``x``, ``f``.
+
+    ``b`` is the best sample and ``sign`` the search's kind (see _search).
+    With ``whole`` the positions are grid indices, and the results are
+    rounded to indices: the ends outward, the extra sample towards the
+    best one.  Returns (lo, hi, extra).
+    """
+    xb, fb = x[b], f[b]
+    level = fb if sign == 0.0 else BOUNDARY_TOL
+    left = _outward(x, f, b, -1) if sign >= 0.0 else []
+    right = _outward(x, f, b, 1) if sign <= 0.0 else []
+    # the cells around the best sample, or the cell outside it, cut to where
+    # the secant beyond each allows the best value (or a feasible one)
+    lo = left[0][0] if left else xb
+    hi = right[0][0] if right else xb
+    if len(left) == 2:
+        lo = max(lo, min(_secant_bound(*left[0], *left[1], level), xb))
+    if len(right) == 2:
+        hi = min(hi, max(_secant_bound(*right[0], *right[1], level), xb))
+
+    # minimum: where the two secants cross; edge: where the chord from the
+    # last infeasible sample to the best one reaches BOUNDARY_TOL
+    extra = xb
+    if sign == 0.0 and len(left) == len(right) == 2:
+        (xl1, fl1), (xl2, fl2) = left
+        (xr1, fr1), (xr2, fr2) = right
+        slope_l = (fl1 - fl2) / (xl1 - xl2)
+        slope_r = (fr2 - fr1) / (xr2 - xr1)
+        if slope_l < slope_r:
+            extra = (fr1 - fl1 + slope_l * xl1 - slope_r * xr1) / (slope_l - slope_r)
+    elif sign != 0.0 and (left or right):
+        x1, f1 = (left or right)[0]
+        if f1 > fb:
+            extra = x1 + (xb - x1) * (f1 - BOUNDARY_TOL) / (f1 - fb)
+    if not math.isfinite(extra):
+        extra = xb
+    if whole:
+        lo, hi = math.floor(lo), math.ceil(hi)
+        extra = math.ceil(extra) if sign > 0.0 else math.floor(extra) if sign < 0.0 else round(extra)
+    return lo, hi, min(max(extra, lo), hi)
+
+
 def _search(
     profile: _Profile, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, tol: float, grid: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shrink brackets [lo, hi] to at most ``tol``, one profile call per step.
 
-    Each step samples every bracket at _CELLS + 1 evenly spaced positions:
-    gammas, or with ``grid`` indices into that array of gammas, rounded
-    down.  With ``sign`` 0 the best sample has the lowest profile value and
-    the two cells around it are kept, which closes on the minimum of the
-    convex profile.  With ``sign`` +1 (-1) the best sample is the lowest
-    (highest) feasible position and the cell outside it is kept, which
-    closes on the lower (upper) edge of the feasible interval; such a
-    bracket needs a feasible position at its inner end.  With ``grid`` and
-    ``tol`` _CELLS the last step samples every index of its bracket, so it
-    returns the grid's own minimum or edge.  Returns each bracket's best
-    sample: its position, profile value and minimax point, shapes (n,), (n,),
-    (n, 2).
+    Each step samples every bracket at _CELLS + 1 evenly spaced positions
+    and, after the first step, at one more: gammas, or with ``grid``
+    indices into that array of gammas, rounded down.  With ``sign`` 0 the
+    best sample has the lowest profile value, and the two cells around it
+    hold the minimum of the convex profile.  With ``sign`` +1 (-1) the best
+    sample is the lowest (highest) feasible position, and the cell outside
+    it holds the lower (upper) edge of the feasible interval; such a
+    bracket needs a feasible position at its inner end.
+
+    The step keeps that part of those cells that the samples beyond them
+    do not rule out.  A line through two samples of a convex profile lies
+    below it outside the segment between them, so the secant through the
+    two nearest samples beyond a kept cell bounds the profile in the cell
+    from below.  Where that bound exceeds the best value (sign 0) or
+    BOUNDARY_TOL (sign +-1), no gamma can be the minimum or feasible, and
+    the cell is cut there; the bound is lowered by CONVEXITY_TOL for
+    roundoff, and a cut on grid indices is rounded outward.  The next
+    step's extra sample is where the two secants cross (sign 0), the
+    lowest point of their maximum, or where the chord from the infeasible
+    neighbour to the best sample reaches BOUNDARY_TOL (sign +-1), which is
+    feasible because a chord lies above the profile.  Near a kink or an
+    edge crossed at a slope the bracket so shrinks superlinearly, and no
+    step keeps more than its two cells, a sixteenth of the bracket.  With
+    ``grid`` and ``tol`` _CELLS the last step samples every index of its
+    bracket, so it returns the grid's own minimum or edge.  Returns each
+    bracket's best sample: its position, profile value and minimax point,
+    shapes (n,), (n,), (n, 2).
     """
     rows = np.arange(lo.size)
+    whole = grid is not None
+    extra = None
     for _ in range(64):  # each step shrinks every bracket at least 16-fold
-        at = lo[:, None] + (hi - lo)[:, None] * _STEPS
-        at[:, -1] = hi
-        if grid is not None:
-            at = at.astype(np.intp)  # exact: integer ends, dyadic steps
-        values, points = profile((at if grid is None else grid[at]).ravel())
+        last = np.max(hi - lo) <= tol
+        if last and whole:
+            # every index once, the end repeated in a shorter bracket
+            at = lo[:, None] + np.minimum(np.arange(np.max(hi - lo) + 1), (hi - lo)[:, None])
+        else:
+            at = lo[:, None] + (hi - lo)[:, None] * _STEPS
+            at[:, -1] = hi
+            if extra is not None:
+                at = np.concatenate((at, extra[:, None]), axis=1)
+                at.sort(axis=1)
+            if whole:
+                at = at.astype(np.intp)  # exact: integer ends, dyadic steps
+        values, points = profile((grid[at] if whole else at).ravel())
         values = values.reshape(at.shape)
         key = np.where(
             sign[:, None] == 0.0,
@@ -259,11 +356,11 @@ def _search(
             np.where(values <= BOUNDARY_TOL, sign[:, None] * at, np.inf),
         )
         best = key.argmin(axis=1)
-        if np.max(hi - lo) <= tol:
+        if last:
             break
-        lo = at[rows, np.maximum(best - (sign >= 0.0), 0)]
-        hi = at[rows, np.minimum(best + (sign <= 0.0), _CELLS)]
-    return at[rows, best], values[rows, best], points[rows * (_CELLS + 1) + best]
+        cuts = [_cut(*row, whole) for row in zip(at.tolist(), values.tolist(), best.tolist(), sign.tolist())]
+        lo, hi, extra = np.array(cuts, dtype=at.dtype).T
+    return at[rows, best], values[rows, best], points[rows * at.shape[1] + best]
 
 
 @dataclass(frozen=True)
@@ -296,15 +393,18 @@ def oracle_scan(p: RelativePair, grid: int = DEFAULT_GRID) -> OracleResult:
     maximum, and minimizing that over g leaves a convex function of gamma,
     the violation profile.  Its feasible set, where it is at most
     ``BOUNDARY_TOL``, is therefore an interval, and the grid of ``grid``
-    steps is searched, not evaluated: a multisection on grid indices keeps
-    the neighbours of the best of 33 samples until it holds the grid
-    minimum, and when that is feasible the same search, on the feasibility
-    of each sample, finds the first and last feasible grid gammas.  On a
-    flat minimum the search keeps a sample within roundoff of the lowest
-    grid value, not necessarily its first index.  When no grid gamma is
-    feasible, a bracket search around the grid minimum catches intervals
-    thinner than the grid step.  The same search then closes on both
-    interval edges from their grid brackets, to ``ENDPOINT_TOL``.
+    steps is searched, not evaluated (_search): each step samples 33 grid
+    indices, keeps the cells next to the best one and cuts away what the
+    secants through the samples beyond them, which lie below a convex
+    profile, rule out, until it holds the grid minimum; when that is
+    feasible the same search, on the feasibility of each sample, finds the
+    first and last feasible grid gammas.  On a flat minimum the search
+    keeps a sample within roundoff of the lowest grid value, not
+    necessarily its first index.  When no grid gamma is feasible, a bracket
+    search around the grid minimum refines it to ``MINIMUM_TOL`` and
+    catches intervals thinner than the grid step.  The same search then
+    closes on both interval edges from their grid brackets, to
+    ``ENDPOINT_TOL``.
     Returns the smallest profile value found as the margin and, when it is
     feasible, its gamma, the minimax point of the same kernel evaluation
     (the certificate) and the interval edges, with the work done.

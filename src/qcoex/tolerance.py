@@ -60,6 +60,15 @@ ENDPOINT_TOL = 1e-10
 # taken as found, when no grid gamma is feasible.  Gamma units.
 MINIMUM_TOL = 1e-13
 
+# Oracle search: how far a computed violation profile value may sit from a
+# convex function of gamma.  The search's secant bounds take every sample
+# as uncertain by this much, so that no cut drops the minimum or an edge
+# for roundoff.  On a 10^4 grid the profile's second differences stay above
+# -1e-15, but in windows of 2e-6 down to 2e-13 around the minimum of nearly
+# parallel pairs it rises up to 1.2e-14 above its lower convex hull, that
+# is, it sits up to 6e-15 from a convex function.  Length units.
+CONVEXITY_TOL = 1e-14
+
 # Self-test: special-case pairs within this of a closed-form decision
 # boundary are skipped, in that comparison's units.
 SPECIAL_CASE_BAND = 1e-9

@@ -10,6 +10,7 @@ import workloads
 from qcoex.bloch import BlochEffect, RelativePair, effect_from_bloch, relative_pair
 from qcoex.coexist import by_max, classify
 from qcoex.oracle import (
+    _CELLS,
     _MAX_GRID,
     DiskSystem,
     _centers,
@@ -237,6 +238,25 @@ def full_profile(p: RelativePair, gammas: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.concatenate([v for v, _ in parts]), np.concatenate([pt for _, pt in parts])
 
 
+def multisection(profile, lo: float, hi: float, tol: float) -> float:
+    """Lowest profile value of a plain multisection on [lo, hi], run to a bracket of ``tol``.
+
+    Each step samples 33 evenly spaced gammas and keeps the two cells around
+    the best, with no secant cuts: a search apart from the oracle's, the
+    reference for the scan's refined margin.
+    """
+    steps = np.linspace(0.0, 1.0, 33)
+    for _ in range(64):
+        at = lo + (hi - lo) * steps
+        at[-1] = hi
+        values, _ = profile(at)
+        best = int(values.argmin())
+        if hi - lo <= tol:
+            break
+        lo, hi = at[max(best - 1, 0)], at[min(best + 1, 32)]
+    return float(values[best])
+
+
 # on the boundary, with a feasible gamma interval thinner than a 10^4 grid step
 THIN = RelativePair(0.6, 0.5, 0.9, 0.123, by_max(0.6, 0.5, 0.9, 0.123))
 
@@ -338,10 +358,10 @@ class TestOracleScan:
     )
     def test_search_matches_full_grid(self, pairs):
         # the reference evaluates all 10^4 + 1 grid gammas and refines an
-        # infeasible grid minimum as the scan does; the scan's search must
-        # find its verdict, its first and last feasible grid gammas (the
-        # grid brackets of gamma_lo and gamma_hi) and its margin, on a
-        # profile that is convex to roundoff
+        # infeasible grid minimum by plain multisection to a 1e-16 bracket;
+        # the scan's search must find its verdict, its first and last
+        # feasible grid gammas (the grid brackets of gamma_lo and gamma_hi)
+        # and its margin, on a profile that is convex to roundoff
         for p in pairs():
             gmax = min(p.alpha, p.beta)
             gammas = np.linspace(0.0, gmax, 10_001)
@@ -350,9 +370,8 @@ class TestOracleScan:
             k = int(np.argmin(full))
             margin = full[k]
             if margin > BOUNDARY_TOL:
-                lo, hi = gammas[[max(k - 1, 0)]], gammas[[min(k + 1, 10_000)]]
-                _, (refined,), _ = _search(_Profile(p), lo, hi, np.zeros(1), MINIMUM_TOL)
-                margin = min(margin, refined)
+                lo, hi = gammas[max(k - 1, 0)], gammas[min(k + 1, 10_000)]
+                margin = min(margin, multisection(_Profile(p), lo, hi, 1e-16))
             res = oracle_scan(p, 10_000)
             assert res.coexistent == (margin <= BOUNDARY_TOL)
             assert abs(res.margin - margin) <= 1e-15
@@ -367,8 +386,8 @@ class TestOracleScan:
 
     def test_work_is_counted_and_bounded(self, monkeypatch):
         # kernel_calls and columns are the scan's kernel calls and the gammas
-        # they evaluated; on criterion 3's pairs no scan takes more than 20
-        # calls or 1000 columns, a tenth of the grid
+        # they evaluated, and no scan of a set does more than the most
+        # measured on it: (calls, columns) per set
         columns = []
 
         def counting(geometry, radii):
@@ -377,12 +396,18 @@ class TestOracleScan:
 
         kernel = _minimax
         monkeypatch.setattr("qcoex.oracle._minimax", counting)
-        for p in [RelativePair(1.0, 1.0, 1.0, 0.0, 1.0), THIN, *criterion_3_pairs(200)]:
-            columns.clear()
-            res = oracle_scan(p, 10_000)
-            assert (res.kernel_calls, res.columns) == (len(columns), sum(columns))
-            assert res.kernel_calls <= 20
-            assert res.columns <= 1000
+        sets = [
+            ([RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)], 4, 103),
+            ([THIN], 10, 373),
+            (criterion_3_pairs(200), 12, 594),
+        ]
+        for pairs, calls, cols in sets:
+            for p in pairs:
+                columns.clear()
+                res = oracle_scan(p, 10_000)
+                assert (res.kernel_calls, res.columns) == (len(columns), sum(columns))
+                assert res.kernel_calls <= calls
+                assert res.columns <= cols
 
     def test_feasible_gamma_set_is_interval(self):
         rng = np.random.default_rng(29)
@@ -439,6 +464,93 @@ class TestOracleScan:
         monkeypatch.setattr("qcoex.oracle.np.linspace", refuse)
         with pytest.raises(ValueError, match="grid"):
             oracle_scan(RelativePair(0.6, 0.5, 0.6, 0.0, 0.1), grid)
+
+
+class Synthetic:
+    """A profile given as a function of gamma, called as a _Profile is."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        self.calls += 1
+        return self.f(gammas), np.zeros((gammas.size, 2))
+
+
+KINK_AT = math.sqrt(2.0) - 1.0
+PLATEAU_AT, PLATEAU_HALF = 1.0 / math.pi, 1e-9
+LOWER_EDGE, UPPER_EDGE = 1.0 / math.pi, 1.0 / math.sqrt(2.0)
+
+
+def kink(g):
+    """Slopes -1 and +3 meeting at KINK_AT."""
+    return np.maximum(KINK_AT - g, 3.0 * (g - KINK_AT))
+
+
+def parabola(g):
+    return (g - KINK_AT) ** 2
+
+
+def plateau(g):
+    """Slopes -1 and +1 beside a flat bottom 2e-9 wide, with +-2e-16 of roundoff-like noise."""
+    return np.maximum(np.abs(g - PLATEAU_AT) - PLATEAU_HALF, 0.0) + 2e-16 * np.sign(np.sin(1e12 * g))
+
+
+def edges(g):
+    """Crosses BOUNDARY_TOL linearly at LOWER_EDGE (slope -0.7) and UPPER_EDGE (slope +2)."""
+    return np.maximum(BOUNDARY_TOL + np.maximum(0.7 * (LOWER_EDGE - g), 2.0 * (g - UPPER_EDGE)), -0.5)
+
+
+class TestSearchCuts:
+    # _search on profiles whose minimum and edges are known exactly
+
+    @pytest.mark.parametrize(
+        "f,lo,hi,calls",
+        [
+            (kink, KINK_AT, KINK_AT, 3),
+            (parabola, KINK_AT, KINK_AT, 12),
+            (plateau, PLATEAU_AT - PLATEAU_HALF, PLATEAU_AT + PLATEAU_HALF, 7),
+        ],
+        ids=["kink", "parabola", "plateau"],
+    )
+    def test_minimum(self, f, lo, hi, calls):
+        # a plain multisection needs 12 calls to MINIMUM_TOL from [0, 1]; the
+        # secant cuts pin the kink in 3, and the noise of the plateau cuts
+        # none of it away
+        profile = Synthetic(f)
+        (at,), (value,), _ = _search(profile, np.array([0.0]), np.array([1.0]), np.zeros(1), MINIMUM_TOL)
+        assert lo - MINIMUM_TOL <= at <= hi + MINIMUM_TOL
+        assert value <= f(np.array([lo, hi])).max() + 2e-16
+        assert profile.calls <= calls
+
+    def test_edges(self):
+        # both edges in one batched search: each returned gamma is feasible
+        # and within ENDPOINT_TOL inside its edge
+        profile = Synthetic(edges)
+        middle = (LOWER_EDGE + UPPER_EDGE) / 2.0
+        (g_lo, g_hi), values, _ = _search(
+            profile, np.array([0.0, middle]), np.array([middle, 1.0]), np.array([1.0, -1.0]), ENDPOINT_TOL
+        )
+        assert (values <= BOUNDARY_TOL).all()
+        assert LOWER_EDGE <= g_lo <= LOWER_EDGE + ENDPOINT_TOL
+        assert UPPER_EDGE - ENDPOINT_TOL <= g_hi <= UPPER_EDGE
+        assert profile.calls <= 3
+
+    @pytest.mark.parametrize("f", [kink, parabola, plateau, edges], ids=["kink", "parabola", "plateau", "edges"])
+    def test_grid(self, f):
+        # on grid indices the cuts, rounded outward, keep the grid's own
+        # minimum and its first and last feasible index
+        grid = np.linspace(0.0, 1.0, 10_001)
+        full = f(grid)
+        (k,), (value,), _ = _search(Synthetic(f), np.array([0]), np.array([10_000]), np.zeros(1), _CELLS, grid)
+        assert value == full.min()
+        inside = np.flatnonzero(full <= BOUNDARY_TOL)
+        if inside.size:
+            found, _, _ = _search(
+                Synthetic(f), np.array([0, k]), np.array([k, 10_000]), np.array([1.0, -1.0]), _CELLS, grid
+            )
+            assert found.tolist() == [inside[0], inside[-1]]
 
 
 class TestOracleCoexistent:

@@ -2,6 +2,7 @@
 shared value is pinned at its edge, 0.9 of it admitted and 1.1 of it not."""
 
 import ast
+import math
 import tokenize
 from pathlib import Path
 
@@ -16,8 +17,8 @@ from qcoex.bloch import (
     sharpness_scalar,
 )
 from qcoex.coexist import classify
-from qcoex.oracle import DiskSystem, disks_feasible
-from qcoex.tolerance import BOUNDARY_TOL, DOMAIN_TOL, MATRIX_TOL
+from qcoex.oracle import DiskSystem, _cut, disks_feasible
+from qcoex.tolerance import BOUNDARY_TOL, CONVEXITY_TOL, DOMAIN_TOL, MATRIX_TOL
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qcoex"
 # a number literal this small or smaller reads as a tolerance
@@ -97,3 +98,17 @@ class TestBoundaryTol:
         centers = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
         assert (disks_feasible(DiskSystem(centers, [r] * 4, 0.0)) is not None) == feasible
 
+
+class TestConvexityTol:
+    @pytest.mark.parametrize("scale,kept", [(INSIDE, True), (OUTSIDE, False)])
+    def test_secant_cut_keeps_the_kink(self, scale, kept):
+        # samples of a kink with slopes -1 and +3, the best 5e-16 past it,
+        # each moved by scale * CONVEXITY_TOL in the direction that pushes
+        # the left secant's cut towards the kink: the search's cut keeps the
+        # kink exactly when the samples sit within CONVEXITY_TOL of the kink
+        kink, h = math.sqrt(2.0) - 1.0, 1e-3
+        x = [kink - 2.0 * h, kink - h, kink + 5e-16, kink + h, kink + 2.0 * h]
+        push = [-1.0, 1.0, -1.0, 0.0, 0.0]
+        f = [max(kink - g, 3.0 * (g - kink)) + scale * CONVEXITY_TOL * d for g, d in zip(x, push)]
+        lo, hi, _ = _cut(x, f, 2, 0.0, False)
+        assert (lo <= kink <= hi) == kept
