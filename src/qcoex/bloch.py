@@ -9,6 +9,7 @@ real 3-vector avec.  Validity of E is equivalent to
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "PAULI_Z",
     "ReductionReport",
     "RelativePair",
+    "SHORT_LENGTH",
     "complement",
     "effect_from_bloch",
     "effect_from_matrix",
@@ -35,6 +37,12 @@ __all__ = [
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+# Below this length a vector's components, or their products with those of
+# a vector of length up to 2, can fall below the normal floating-point
+# range and lose digits (about 1e-146).  Such a vector is scaled by a power
+# of two before its direction is used; that scaling is exact.
+SHORT_LENGTH = math.sqrt(sys.float_info.min / sys.float_info.epsilon)
 
 
 class InvalidEffectError(ValueError):
@@ -61,7 +69,7 @@ class BlochEffect:
     @property
     def a(self) -> float:
         """Length of the Bloch vector."""
-        return float(np.linalg.norm(self.avec))
+        return math.hypot(*self.avec.tolist())
 
     def validity_residual(self) -> float:
         """Largest violation of ||avec|| <= alpha <= 2 - ||avec|| (<= 0 when valid)."""
@@ -216,22 +224,40 @@ def relative_pair(A: BlochEffect, B: BlochEffect) -> tuple[RelativePair, Reducti
     complements (coexistence is unchanged), then only the relative angle
     between the Bloch vectors is kept.  The output is invariant under a
     simultaneous rotation of both vectors.
+
+    A complement (2 - alpha, -avec) only negates the vector, and negation
+    is exact through products, sums and ``math.hypot``.  So no complement is
+    built: the first vector is negated when exactly one effect is
+    complemented, which flips the sign of bx and leaves by and both lengths
+    as they are, bit for bit.  When either vector is shorter than
+    ``SHORT_LENGTH``, both are first scaled by powers of two to lengths in
+    [0.5, 1), and bx and by scaled back, so that no product loses digits.
     """
     comp_a = A.alpha > 1.0
     comp_b = B.alpha > 1.0
-    first = complement(A) if comp_a else A
-    second = complement(B) if comp_b else B
-    a = first.a
-    b = second.a
+    (ax, ay, az), (qx, qy, qz) = A.avec.tolist(), B.avec.tolist()
+    if comp_a != comp_b:
+        ax, ay, az = -ax, -ay, -az
+    a = math.hypot(ax, ay, az)
+    b = math.hypot(qx, qy, qz)
     if a > 0.0:
-        (ax, ay, az), (qx, qy, qz) = first.avec.tolist(), second.avec.tolist()
-        bx = (ax * qx + ay * qy + az * qz) / a
+        u, kb = a, 0
+        if a < SHORT_LENGTH or b < SHORT_LENGTH:
+            ka, kb = -math.frexp(a)[1], -math.frexp(b)[1]
+            ax, ay, az = math.ldexp(ax, ka), math.ldexp(ay, ka), math.ldexp(az, ka)
+            qx, qy, qz = math.ldexp(qx, kb), math.ldexp(qy, kb), math.ldexp(qz, kb)
+            u = math.hypot(ax, ay, az)
+        bx = (ax * qx + ay * qy + az * qz) / u
         # ||a x b|| / a keeps its digits for nearly parallel vectors, where
         # sqrt(b^2 - bx^2) cancels to 0
-        by = math.hypot(ay * qz - az * qy, az * qx - ax * qz, ax * qy - ay * qx) / a
+        by = math.hypot(ay * qz - az * qy, az * qx - ax * qz, ax * qy - ay * qx) / u
+        if kb:
+            bx, by = math.ldexp(bx, -kb), math.ldexp(by, -kb)
     else:
         bx = b
         by = 0.0
-    pair = RelativePair(first.alpha, a, second.alpha, bx, by)
+    alpha = 2.0 - A.alpha if comp_a else A.alpha
+    beta = 2.0 - B.alpha if comp_b else B.alpha
+    pair = RelativePair(alpha, a, beta, bx, by)
     report = ReductionReport(comp_a, comp_b, a == 0.0, b == 0.0)
     return pair, report

@@ -65,8 +65,9 @@ MINIMUM_TOL = 1e-13
 # as uncertain by this much, so that no cut drops the minimum or an edge
 # for roundoff.  On a 10^4 grid the profile's second differences stay above
 # -1e-15, but in windows of 2e-6 down to 2e-13 around the minimum of nearly
-# parallel pairs it rises up to 1.2e-14 above its lower convex hull, that
-# is, it sits up to 6e-15 from a convex function.  Length units.
+# parallel pairs it rises up to 2.0e-14 above its lower convex hull, that
+# is, it sits up to 1.01e-14 from a convex function, just past this
+# allowance (tests/test_oracle.py, TestProfileConvexity).  Length units.
 CONVEXITY_TOL = 1e-14
 
 # Self-test: special-case pairs within this of a closed-form decision

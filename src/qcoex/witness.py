@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochEffect, RelativePair, complement, relative_pair
+from .bloch import SHORT_LENGTH, BlochEffect, RelativePair, complement, relative_pair
 from .coexist import C3, Verdict, classify
 from .tolerance import BOUNDARY_TOL, FULL_LENGTH_TOL, PSD_TOL
 
@@ -216,19 +216,32 @@ def _any_unit_perpendicular(u: np.ndarray) -> np.ndarray:
     axis = np.zeros(3)
     axis[int(np.argmin(np.abs(u)))] = 1.0
     v = np.cross(u, axis)
-    return v / np.linalg.norm(v)
+    return v / math.hypot(*v.tolist())
+
+
+def _rescaled(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """v and its length, v first scaled by a power of two to a length in [0.5, 1) when shorter than SHORT_LENGTH.
+
+    The scaling is exact, and it keeps the digits of a direction whose
+    components or products would fall below the normal range.
+    """
+    n = math.hypot(*v.tolist())
+    if 0.0 < n < SHORT_LENGTH:
+        v = np.ldexp(v, -math.frexp(n)[1])
+        n = math.hypot(*v.tolist())
+    return v, n
 
 
 def _plane_basis(avec: np.ndarray, bvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of the span of the two Bloch vectors."""
-    a = float(np.linalg.norm(avec))
+    avec, a = _rescaled(avec)
+    bvec, b = _rescaled(bvec)
     if a > 0.0:
         e1 = avec / a
     else:
-        b = float(np.linalg.norm(bvec))
         e1 = bvec / b if b > 0.0 else np.array([1.0, 0.0, 0.0])
     perp = bvec - float(np.dot(bvec, e1)) * e1
-    n = float(np.linalg.norm(perp))
+    n = math.hypot(*perp.tolist())
     e2 = perp / n if n > 0.0 else _any_unit_perpendicular(e1)
     return e1, e2
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcoex.bloch import (
@@ -18,6 +18,7 @@ from qcoex.bloch import (
     sharpness,
     sharpness_scalar,
 )
+from qcoex.coexist import C1, C2, C3, TRIVIAL_PARALLEL, classify
 
 # Independently computed with 40-digit arithmetic from the defining formula.
 S_06_05 = 0.3281475155779856
@@ -239,6 +240,45 @@ class TestRelativePair:
 
     @settings(max_examples=200)
     @given(valid_effects(), valid_effects())
+    def test_complement_is_an_exact_sign_flip(self, A, B):
+        # an effect with alpha > 1 reduces to the pair of its complement, bit
+        # for bit: for the first effect, for the second and for both
+        def fields(X, Y):
+            p, _ = relative_pair(X, Y)
+            return (p.alpha, p.a, p.beta, p.bx, p.by)
+
+        low_a = complement(A) if A.alpha > 1.0 else A
+        low_b = complement(B) if B.alpha > 1.0 else B
+        expected = fields(low_a, low_b)
+        assert fields(A, low_b) == expected
+        assert fields(low_a, B) == expected
+        assert fields(A, B) == expected
+        # one length formula for effects and pairs
+        assert expected[1] == A.a
+
+    def test_reduction_and_classification_make_no_numpy_call(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} was used")
+
+        first = effect_from_bloch(0.6, (0.5, 0.0, 0.0))
+        pairs = [
+            (C1, first, effect_from_bloch(0.3, (0.0, 0.1, 0.0))),
+            (C1, effect_from_bloch(1.0, (1e-160, 1e-160, 0.0)), effect_from_bloch(1.0, (0.0, 1.0, 0.0))),
+            (C2, effect_from_bloch(1.4, (-0.5, 0.0, 0.0)), effect_from_bloch(1.1, (0.85, 0.0, 0.1))),
+            (C3, first, effect_from_bloch(0.9, (0.1, 0.2, 0.2))),
+            (TRIVIAL_PARALLEL, first, effect_from_bloch(1.3, (0.0, 0.0, 0.0))),
+        ]
+        monkeypatch.setattr("qcoex.bloch.np", NoNumpy())
+        monkeypatch.setattr("qcoex.coexist.np", NoNumpy())
+        for regime, A, B in pairs:
+            p, _ = relative_pair(A, B)
+            assert classify(p).regime == regime
+
+    @settings(max_examples=200)
+    @given(valid_effects(), valid_effects())
+    # a subnormal first vector, whose products with the second lose digits
+    @example(BlochEffect(1.0, (0.0, 0.0, -5e-324)), BlochEffect(0.75, (9.18485099e-17, 0.0, -0.75)))
     def test_reduction_invariants(self, A, B):
         p, rep = relative_pair(A, B)
         assert 0.0 <= p.alpha <= 1.0

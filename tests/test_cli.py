@@ -114,10 +114,10 @@ class TestDecide:
         assert err == ""
         assert out == (DATA / expected).read_text()
 
-    @pytest.mark.xfail(strict=True, reason="np.linalg.norm squares a 1e-160 vector into the subnormal range")
     def test_witness_for_a_tiny_vector(self, capsys):
-        # the effect is valid, but its length is off by 5.6e-6 relative, so
-        # the witness fails its check and the CLI exits 3
+        # a length formed as sqrt(x . x) squares a 1e-160 vector into the
+        # subnormal range, is off by 5.6e-6 relative, and the witness then
+        # fails its check; math.hypot scales, so the witness holds
         tiny = '{"alpha":1,"a":[1e-160,1e-160,0]}'
         code, _, _ = run(capsys, ["decide", tiny, '{"alpha":1,"a":[0,1,0]}', "--witness"])
         assert code == EXIT_OK

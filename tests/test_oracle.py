@@ -28,7 +28,7 @@ from qcoex.oracle import (
     random_effect_pair,
 )
 from qcoex.selftest import suite_oracle_agreement
-from qcoex.tolerance import BOUNDARY_TOL, ENDPOINT_TOL, MINIMUM_TOL
+from qcoex.tolerance import BOUNDARY_TOL, CONVEXITY_TOL, ENDPOINT_TOL, MINIMUM_TOL
 from qcoex.witness import gamma_interval_2ci
 
 SQRT3_INV = 1.0 / math.sqrt(3.0)
@@ -238,12 +238,12 @@ def full_profile(p: RelativePair, gammas: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.concatenate([v for v, _ in parts]), np.concatenate([pt for _, pt in parts])
 
 
-def multisection(profile, lo: float, hi: float, tol: float) -> float:
-    """Lowest profile value of a plain multisection on [lo, hi], run to a bracket of ``tol``.
+def multisection(profile, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Gamma and value of the lowest sample of a plain multisection on [lo, hi], run to a bracket of ``tol``.
 
     Each step samples 33 evenly spaced gammas and keeps the two cells around
     the best, with no secant cuts: a search apart from the oracle's, the
-    reference for the scan's refined margin.
+    reference for the scan's refined margin and minimum.
     """
     steps = np.linspace(0.0, 1.0, 33)
     for _ in range(64):
@@ -254,7 +254,25 @@ def multisection(profile, lo: float, hi: float, tol: float) -> float:
         if hi - lo <= tol:
             break
         lo, hi = at[max(best - 1, 0)], at[min(best + 1, 32)]
-    return float(values[best])
+    return float(at[best]), float(values[best])
+
+
+def rise_above_lower_hull(x: np.ndarray, f: np.ndarray) -> float:
+    """How far the samples (x, f), x increasing, rise above their lower convex hull (monotone chain).
+
+    Half of it is the distance of the samples from the nearest convex
+    function, the hull raised by that half.
+    """
+    hull: list[tuple[float, float]] = []
+    for q in zip(x.tolist(), f.tolist()):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (q[1] - y1) > (y2 - y1) * (q[0] - x1):
+                break
+            hull.pop()
+        hull.append(q)
+    hx, hy = np.array(hull).T
+    return float((f - np.interp(x, hx, hy)).max())
 
 
 # on the boundary, with a feasible gamma interval thinner than a 10^4 grid step
@@ -371,7 +389,7 @@ class TestOracleScan:
             margin = full[k]
             if margin > BOUNDARY_TOL:
                 lo, hi = gammas[max(k - 1, 0)], gammas[min(k + 1, 10_000)]
-                margin = min(margin, multisection(_Profile(p), lo, hi, 1e-16))
+                margin = min(margin, multisection(_Profile(p), lo, hi, 1e-16)[1])
             res = oracle_scan(p, 10_000)
             assert res.coexistent == (margin <= BOUNDARY_TOL)
             assert abs(res.margin - margin) <= 1e-15
@@ -464,6 +482,44 @@ class TestOracleScan:
         monkeypatch.setattr("qcoex.oracle.np.linspace", refuse)
         with pytest.raises(ValueError, match="grid"):
             oracle_scan(RelativePair(0.6, 0.5, 0.6, 0.0, 0.1), grid)
+
+
+# near-boundary oracle pair 66 of seed 1: nearly parallel, with a small by
+PAIR_66 = RelativePair(
+    0.9981419191416758, 0.9695970626880411, 0.8609411791265604, 0.8559667643856216, 0.09124075901895874
+)
+
+
+class TestProfileConvexity:
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            lambda: criterion_3_pairs(50),
+            pytest.param(
+                lambda: [PAIR_66],
+                marks=pytest.mark.xfail(
+                    strict=True, reason="the profile sits up to 1.01e-14 from a convex function there"
+                ),
+            ),
+        ],
+        ids=["criterion-3", "near-boundary-66"],
+    )
+    def test_convex_to_the_allowance_near_the_minimum(self, pairs):
+        # the search's secant cuts take every profile value as uncertain by
+        # CONVEXITY_TOL, so the computed profile must sit within that of a
+        # convex function, on 1001-gamma windows of +-1e-6, +-1e-10 and
+        # +-1e-13 around the minimum of a 10^4 grid refined by plain
+        # multisection to a 1e-16 bracket
+        for p in pairs():
+            gmax = min(p.alpha, p.beta)
+            gammas = np.linspace(0.0, gmax, 10_001)
+            full, _ = full_profile(p, gammas)
+            k = int(np.argmin(full))
+            g, _ = multisection(_Profile(p), gammas[max(k - 1, 0)], gammas[min(k + 1, 10_000)], 1e-16)
+            for h in (1e-6, 1e-10, 1e-13):
+                x = np.unique(np.clip(np.linspace(g - h, g + h, 1001), 0.0, gmax))
+                f, _ = _Profile(p)(x)
+                assert 0.5 * rise_above_lower_hull(x, f) <= CONVEXITY_TOL, (p, h)
 
 
 class Synthetic:

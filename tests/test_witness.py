@@ -14,6 +14,7 @@ from qcoex.bloch import (
     complement,
     effect_from_bloch,
     effect_to_matrix,
+    relative_pair,
 )
 from qcoex.coexist import boundary_curve, by_max, classify, is_coexistent
 from qcoex.oracle import random_effect_pair
@@ -342,6 +343,26 @@ class TestFindWitness:
                 assert_witness_valid(A, B)
                 checked += 1
         assert checked == 355
+
+    @pytest.mark.parametrize("t", [1e-160, 1e-310, 5e-324])
+    def test_tiny_vector(self, t):
+        # a length formed as sqrt(x . x) squares these vectors into the
+        # subnormal range or to 0 (at 1e-160 it is off by 5.6e-6 relative);
+        # math.hypot scales, and directions are taken after an exact scaling
+        # by a power of two, since subnormal components or products lose digits
+        A = BlochEffect(1.0, (t, t, 0.0))
+        B = BlochEffect(1.0, (0.0, 1.0, 0.0))
+        length = math.hypot(1.0, 1.0) * t
+        assert abs(A.a - length) <= math.ulp(length)
+        p, _ = relative_pair(A, B)
+        assert abs(p.bx - math.sqrt(0.5)) <= math.ulp(0.5)
+        assert abs(p.by - math.sqrt(0.5)) <= math.ulp(0.5)
+        p, _ = relative_pair(A, BlochEffect(1.0, (0.0, 0.0, 1.0)))
+        assert p.bx == 0.0
+        assert abs(p.by - 1.0) <= math.ulp(1.0)
+        wt = find_witness(A, B)
+        assert wt is not None
+        assert assemble_observable(A, B, wt).report.holds
 
     def test_moved_sweep_verdicts_lie_in_the_reference_band(self):
         # the sweep pairs whose verdict changed when by came from the cross
