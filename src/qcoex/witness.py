@@ -11,6 +11,11 @@ One closed form builds G1 in the reduced pair's plane: the operator product
 for commuting pairs, and otherwise a mixture of the witness at the top of the
 allowed region (same bx, largest allowed by) with the commuting partner at
 by = 0.  Nothing here calls the oracle, so the two check each other.
+
+A witness is built on Python floats, with a complemented effect's vector
+negated in place rather than a complement object made.  The check forms the
+four outcome vectors on floats and makes one (4, 3) array for the residuals
+and one stack of 2x2 complex matrices for a single ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import SHORT_LENGTH, BlochEffect, RelativePair, complement, relative_pair
+from .bloch import SHORT_LENGTH, BlochEffect, RelativePair, relative_pair
 from .coexist import C3, Verdict, classify
 from .tolerance import BOUNDARY_TOL, FULL_LENGTH_TOL, PSD_TOL
 
@@ -96,20 +101,27 @@ class InequalityReport:
 def operator_inequalities_hold(A: BlochEffect, B: BlochEffect, wt: Witness) -> InequalityReport:
     """Check the four constraints making (gamma, gvec) a valid first outcome.
 
-    The four outcomes are checked as one array: the residuals row by row as
-    ||vector|| - trace, the minimum eigenvalues by one ``eigvalsh`` over the
-    stack of their 2x2 matrices.
+    The four outcome vectors are formed on floats and checked as two arrays,
+    each made in one call: the residuals as ||vector|| - trace over one
+    (4, 3) array, the minimum eigenvalues by one ``eigvalsh`` over one stack
+    of the four 2x2 matrices, built from their 16 entries.
     """
-    g = wt.gvec
     gamma = wt.gamma
-    traces = np.array([gamma, A.alpha - gamma, B.alpha - gamma, 2.0 + gamma - A.alpha - B.alpha])
-    # the last outcome's vector is a + b - g in its residual and g - a - b in
-    # its operator; the two round differently, so both rows are kept
-    rows = np.array([g, A.avec - g, B.avec - g, A.avec + B.avec - g, g - A.avec - B.avec])
-    residuals = tuple((np.sqrt(np.vecdot(rows[:4], rows[:4])) - traces).tolist())
-    x, y, z = rows[[0, 1, 2, 4]].T
-    matrices = 0.5 * np.array([[traces + z, x - 1j * y], [x + 1j * y, traces - z]])
-    eigenvalues = tuple(np.linalg.eigvalsh(matrices.transpose(2, 0, 1))[:, 0].tolist())
+    gx, gy, gz = wt.gvec.tolist()
+    ax, ay, az = A.avec.tolist()
+    bx, by, bz = B.avec.tolist()
+    traces = (gamma, A.alpha - gamma, B.alpha - gamma, 2.0 + gamma - A.alpha - B.alpha)
+    shared = [(gx, gy, gz), (ax - gx, ay - gy, az - gz), (bx - gx, by - gy, bz - gz)]
+    # the last outcome's vector is (a + b) - g in its residual and (g - a) - b
+    # in its operator; the two round differently, so both are kept
+    rows = np.array(shared + [(ax + bx - gx, ay + by - gy, az + bz - gz)])
+    lengths = np.sqrt(np.vecdot(rows, rows)).tolist()
+    residuals = tuple(n - t for n, t in zip(lengths, traces))
+    entries = []
+    for t, (x, y, z) in zip(traces, shared + [(gx - ax - bx, gy - ay - by, gz - az - bz)]):
+        entries += (t + z, complex(x, -y), complex(x, y), t - z)
+    matrices = 0.5 * np.array(entries).reshape(4, 2, 2)
+    eigenvalues = tuple(np.linalg.eigvalsh(matrices)[:, 0].tolist())
     holds = max(residuals) <= PSD_TOL and min(eigenvalues) >= -PSD_TOL
     return InequalityReport(holds, residuals, eigenvalues)
 
@@ -212,37 +224,46 @@ def _closed_form(p: RelativePair, verdict: Verdict) -> tuple[float, float, float
     return _mix(candidate, partner, min(p.by / top, 1.0))
 
 
-def _any_unit_perpendicular(u: np.ndarray) -> np.ndarray:
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(u)))] = 1.0
-    v = np.cross(u, axis)
-    return v / math.hypot(*v.tolist())
+def _any_unit_perpendicular(u: list[float]) -> list[float]:
+    # u x e_k for the axis e_k of u's smallest component
+    k = min(range(3), key=lambda i: abs(u[i]))
+    w = [0.0, 0.0, 0.0]
+    w[k] = 1.0
+    v = [
+        u[1] * w[2] - u[2] * w[1],
+        u[2] * w[0] - u[0] * w[2],
+        u[0] * w[1] - u[1] * w[0],
+    ]
+    n = math.hypot(*v)
+    return [x / n for x in v]
 
 
-def _rescaled(v: np.ndarray) -> tuple[np.ndarray, float]:
+def _rescaled(v: list[float]) -> tuple[list[float], float]:
     """v and its length, v first scaled by a power of two to a length in [0.5, 1) when shorter than SHORT_LENGTH.
 
     The scaling is exact, and it keeps the digits of a direction whose
     components or products would fall below the normal range.
     """
-    n = math.hypot(*v.tolist())
+    n = math.hypot(*v)
     if 0.0 < n < SHORT_LENGTH:
-        v = np.ldexp(v, -math.frexp(n)[1])
-        n = math.hypot(*v.tolist())
+        k = -math.frexp(n)[1]
+        v = [math.ldexp(x, k) for x in v]
+        n = math.hypot(*v)
     return v, n
 
 
-def _plane_basis(avec: np.ndarray, bvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _plane_basis(avec: list[float], bvec: list[float]) -> tuple[list[float], list[float]]:
     """Orthonormal basis of the span of the two Bloch vectors."""
     avec, a = _rescaled(avec)
     bvec, b = _rescaled(bvec)
     if a > 0.0:
-        e1 = avec / a
+        e1 = [x / a for x in avec]
     else:
-        e1 = bvec / b if b > 0.0 else np.array([1.0, 0.0, 0.0])
-    perp = bvec - float(np.dot(bvec, e1)) * e1
-    n = math.hypot(*perp.tolist())
-    e2 = perp / n if n > 0.0 else _any_unit_perpendicular(e1)
+        e1 = [x / b for x in bvec] if b > 0.0 else [1.0, 0.0, 0.0]
+    along = bvec[0] * e1[0] + bvec[1] * e1[1] + bvec[2] * e1[2]
+    perp = [x - along * e for x, e in zip(bvec, e1)]
+    n = math.hypot(*perp)
+    e2 = [x / n for x in perp] if n > 0.0 else _any_unit_perpendicular(e1)
     return e1, e2
 
 
@@ -276,18 +297,20 @@ def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
     verdict = classify(pair)
     if not verdict.coexistent:
         return None
-    a_eff = complement(A) if report.complemented_a else A
-    b_eff = complement(B) if report.complemented_b else B
-    e1, e2 = _plane_basis(a_eff.avec, b_eff.avec)
-    gamma, gx, gy = _closed_form(pair, verdict)
-    g = float(gamma)
-    v = gx * e1 + gy * e2
+    # a complement (2 - alpha, -avec) only negates the vector, exactly, so
+    # none is built; pair.alpha is the trace coefficient of A or of 1 - A
+    avec, bvec = A.avec.tolist(), B.avec.tolist()
+    a_eff = [-x for x in avec] if report.complemented_a else avec
+    b_eff = [-x for x in bvec] if report.complemented_b else bvec
+    e1, e2 = _plane_basis(a_eff, b_eff)
+    g, gx, gy = _closed_form(pair, verdict)
+    v = [gx * x + gy * y for x, y in zip(e1, e2)]
     if report.complemented_b:
         # swap outcomes (1,2) and (3,4): new first outcome is A' - G1
-        g, v = a_eff.alpha - g, a_eff.avec - v
+        g, v = pair.alpha - g, [x - y for x, y in zip(a_eff, v)]
     if report.complemented_a:
         # swap outcomes (1,3) and (2,4): new first outcome is B - G1
-        g, v = B.alpha - g, B.avec - v
+        g, v = B.alpha - g, [x - y for x, y in zip(bvec, v)]
     wt = Witness(g, v)
     check = operator_inequalities_hold(A, B, wt)
     if not check.holds:

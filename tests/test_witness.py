@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference as ref
+from hypothesis import given, settings
+from test_bloch import valid_effects
 
 from qcoex.bloch import (
     BlochEffect,
@@ -16,12 +18,22 @@ from qcoex.bloch import (
     effect_to_matrix,
     relative_pair,
 )
-from qcoex.coexist import boundary_curve, by_max, classify, is_coexistent
+from qcoex.coexist import (
+    C1,
+    C2,
+    C3,
+    TRIVIAL_PARALLEL,
+    boundary_curve,
+    by_max,
+    classify,
+    is_coexistent,
+)
 from qcoex.oracle import random_effect_pair
 from qcoex.tolerance import PSD_TOL
 from qcoex.witness import (
     InequalityReport,
     Witness,
+    WitnessError,
     assemble_observable,
     find_witness,
     gamma_interval_2ci,
@@ -130,6 +142,32 @@ def pushed_off(A, B, wt, k):
     return Witness(gamma, g)
 
 
+def witness_outcome(A, B):
+    """find_witness's answer as comparable values: None, an error or (gamma, gvec)."""
+    try:
+        wt = find_witness(A, B)
+    except WitnessError:
+        return "WitnessError"
+    return None if wt is None else (wt.gamma, wt.gvec)
+
+
+def mapped_back(outcome, E):
+    """(E.alpha - gamma, E.avec - gvec): the first outcome after swapping outcomes across E."""
+    if not isinstance(outcome, tuple):
+        return outcome
+    gamma, gvec = outcome
+    return (E.alpha - gamma, E.avec - gvec)
+
+
+def assert_same_outcome(found, expected):
+    if not isinstance(expected, tuple):
+        assert found == expected
+        return
+    assert isinstance(found, tuple)
+    assert found[0] == expected[0]
+    assert np.array_equal(found[1], expected[1])
+
+
 @pytest.fixture
 def check_calls(monkeypatch):
     """Count the calls of operator_inequalities_hold made inside qcoex.witness."""
@@ -193,6 +231,23 @@ class TestOperatorInequalities:
                 assert report.holds == (max(residuals) <= PSD_TOL and min(eigenvalues) >= -PSD_TOL)
             checked += 1
         assert checked == 1000 + 501 + 355
+
+    def test_batched_check_matches_the_per_outcome_check_for_complements(self):
+        # traces above 1 on one effect, on the other and on both, in turn
+        checked = 0
+        for k, (A, B) in enumerate(criterion_4_pairs()):
+            if k % 3 != 1:
+                A = complement(A)
+            if k % 3 != 0:
+                B = complement(B)
+            assert max(A.alpha, B.alpha) > 1.0
+            wt = find_witness(A, B)
+            for w in (wt, pushed_off(A, B, wt, k % 4)):
+                report = operator_inequalities_hold(A, B, w)
+                assert (report.residuals, report.min_eigenvalues) == per_outcome_check(A, B, w)
+                assert report.holds == (w is wt)
+            checked += 1
+        assert checked == 1000
 
     def test_noncommuting_projection_candidates_fail(self):
         A = effect_from_bloch(1.0, (0.0, 0.0, 1.0))
@@ -308,6 +363,47 @@ class TestFindWitness:
             mB = effect_to_matrix(obs.g1) + effect_to_matrix(obs.g3)
             assert np.abs(mA - effect_to_matrix(A)).max() <= 1e-12
             assert np.abs(mB - effect_to_matrix(B)).max() <= 1e-12
+
+    @settings(max_examples=200)
+    @given(
+        valid_effects().filter(lambda e: e.alpha <= 1.0),
+        valid_effects().filter(lambda e: e.alpha > 1.0),
+        valid_effects().filter(lambda e: e.alpha > 1.0),
+    )
+    def test_complemented_inputs_are_exact_relabelings(self, E, X, Y):
+        # an effect with alpha > 1 is reduced through its complement by an
+        # exact sign flip, so the witness is the complement pair's witness
+        # mapped back bit for bit; the complement is taken only of effects
+        # with alpha > 1, since 2 - (2 - alpha) need not give alpha back
+        R = witness_outcome(complement(X), E)
+        assert_same_outcome(witness_outcome(X, E), mapped_back(R, E))
+        R = witness_outcome(E, complement(Y))
+        assert_same_outcome(witness_outcome(E, Y), mapped_back(R, E))
+        R = witness_outcome(complement(X), complement(Y))
+        expected = mapped_back(mapped_back(R, complement(X)), Y)
+        assert_same_outcome(witness_outcome(X, Y), expected)
+
+    def test_builds_no_effect_objects(self, check_calls, monkeypatch):
+        first = effect_from_bloch(0.6, (0.5, 0.0, 0.0))
+        pairs = [
+            (C1, first, effect_from_bloch(0.3, (0.0, 0.1, 0.0))),
+            (C1, effect_from_bloch(1.0, (1e-160, 1e-160, 0.0)), effect_from_bloch(1.0, (0.0, 1.0, 0.0))),
+            (C2, effect_from_bloch(1.4, (-0.5, 0.0, 0.0)), effect_from_bloch(1.1, (0.85, 0.0, 0.1))),
+            (C3, first, effect_from_bloch(0.9, (0.1, 0.2, 0.2))),
+            (TRIVIAL_PARALLEL, first, effect_from_bloch(1.3, (0.0, 0.0, 0.0))),
+        ]
+
+        def refuse(self):
+            raise AssertionError("an effect object was built")
+
+        # inputs are built first; a complement would build one per request
+        monkeypatch.setattr(BlochEffect, "__post_init__", refuse)
+        for regime, A, B in pairs:
+            assert classify(relative_pair(A, B)[0]).regime == regime
+            check_calls.clear()
+            wt = find_witness(A, B)
+            assert check_calls == [wt]
+            assert operator_inequalities_hold(A, B, wt).holds
 
     def test_succeeds_exactly_when_coexistent(self):
         rng = np.random.default_rng(9)
