@@ -29,16 +29,8 @@ from .coexist import (
     is_coexistent,
     special_case_verdict,
 )
-from .oracle import (
-    DiskSystem,
-    OracleResult,
-    disks_at,
-    disks_feasible,
-    oracle_coexistent,
-    oracle_scan,
-    random_effect,
-    random_effect_pair,
-)
+from .oracle import OracleResult, disks_feasible, oracle_coexistent, oracle_scan
+from .selftest import random_effect, random_effect_pair
 from .witness import (
     InequalityReport,
     Witness,
@@ -55,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlochEffect",
     "BoundaryCurve",
-    "DiskSystem",
     "InequalityReport",
     "InvalidEffectError",
     "OracleResult",
@@ -71,7 +62,6 @@ __all__ = [
     "by_max",
     "classify",
     "complement",
-    "disks_at",
     "disks_feasible",
     "effect_from_bloch",
     "effect_from_matrix",

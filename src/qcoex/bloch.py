@@ -9,6 +9,7 @@ real 3-vector avec.  Validity of E is equivalent to
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -19,9 +20,6 @@ from .tolerance import DOMAIN_TOL, MATRIX_TOL, RADICAND_TOL
 __all__ = [
     "BlochEffect",
     "InvalidEffectError",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "ReductionReport",
     "RelativePair",
     "SHORT_LENGTH",
@@ -33,10 +31,6 @@ __all__ = [
     "sharpness",
     "sharpness_scalar",
 ]
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # Below this length a vector's components, or their products with those of
 # a vector of length up to 2, can fall below the normal floating-point
@@ -71,20 +65,32 @@ class BlochEffect:
         """Length of the Bloch vector."""
         return math.hypot(*self.avec.tolist())
 
-    def validity_residual(self) -> float:
-        """Largest violation of ||avec|| <= alpha <= 2 - ||avec|| (<= 0 when valid)."""
-        a = self.a
-        return max(a - self.alpha, self.alpha - (2.0 - a))
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def effect_from_bloch(alpha: float, avec) -> BlochEffect:
     """Validated effect from its trace coefficient and Bloch vector.
 
+    ``alpha`` is a real number and ``avec`` a length-3 list, tuple or 1-D
+    array of real numbers; a bool is not a number here.
+
     Raises:
-        InvalidEffectError: naming the bound that failed, when the parameters
-            violate ||avec|| <= alpha <= 2 - ||avec|| beyond ``DOMAIN_TOL``.
+        InvalidEffectError: naming the field, when a parameter has another
+            type or shape or is not finite, or naming the bound that failed,
+            when the parameters violate ||avec|| <= alpha <= 2 - ||avec||
+            beyond ``DOMAIN_TOL``.
     """
-    effect = BlochEffect(alpha, avec)
+    if not _is_real(alpha):
+        raise InvalidEffectError(f"field 'alpha' must be a real number, got {type(alpha).__name__}")
+    items = avec.tolist() if isinstance(avec, np.ndarray) and avec.ndim == 1 else avec
+    if not isinstance(items, (list, tuple)) or len(items) != 3 or not all(map(_is_real, items)):
+        raise InvalidEffectError("field 'avec' must be a length-3 list, tuple or 1-D array of real numbers")
+    try:
+        effect = BlochEffect(alpha, items)
+    except OverflowError:
+        raise InvalidEffectError("effect parameters must be finite") from None
     if not math.isfinite(effect.alpha) or not np.all(np.isfinite(effect.avec)):
         raise InvalidEffectError("effect parameters must be finite")
     a = effect.a
@@ -124,12 +130,19 @@ def effect_from_matrix(m) -> BlochEffect:
     :func:`effect_to_matrix` is the identity to better than 1e-12 per entry.
 
     Raises:
-        InvalidEffectError: for a non-finite entry, non-Hermitian input or an
-            eigenvalue outside the operator bounds.
+        InvalidEffectError: for a ragged or non-numeric matrix, another shape,
+            a non-finite entry, non-Hermitian input or an eigenvalue outside
+            the operator bounds.
     """
-    mat = np.asarray(m, dtype=complex)
+    try:
+        mat = np.asarray(m)
+    except ValueError:
+        raise InvalidEffectError("matrix rows must have equal lengths") from None
+    if mat.dtype.kind not in "iufc":
+        raise InvalidEffectError(f"matrix entries must be numbers, got dtype {mat.dtype}")
     if mat.shape != (2, 2):
         raise InvalidEffectError(f"expected a 2x2 matrix, got shape {mat.shape}")
+    mat = mat.astype(complex)
     if not np.isfinite(mat).all():
         raise InvalidEffectError("matrix entries must be finite")
     herm_defect = float(np.abs(mat - mat.conj().T).max())
@@ -206,15 +219,11 @@ class ReductionReport:
     """How a pair was canonicalized, so verdicts and witnesses map back.
 
     ``complemented_a`` / ``complemented_b`` record replacement by 1 - E when
-    the trace coefficient exceeded 1.  The trivial flags mark effects that
-    are multiples of the identity (zero Bloch vector), where the relative
-    direction is undefined and ``bx`` carries the +1 sign convention.
+    the trace coefficient exceeded 1.
     """
 
     complemented_a: bool
     complemented_b: bool
-    a_trivial: bool
-    b_trivial: bool
 
 
 def relative_pair(A: BlochEffect, B: BlochEffect) -> tuple[RelativePair, ReductionReport]:
@@ -223,7 +232,8 @@ def relative_pair(A: BlochEffect, B: BlochEffect) -> tuple[RelativePair, Reducti
     Effects with a trace coefficient above 1 are replaced by their
     complements (coexistence is unchanged), then only the relative angle
     between the Bloch vectors is kept.  The output is invariant under a
-    simultaneous rotation of both vectors.
+    simultaneous rotation of both vectors.  When the first vector is zero
+    the relative direction is undefined, and bx = ||b||, by = 0.
 
     A complement (2 - alpha, -avec) only negates the vector, and negation
     is exact through products, sums and ``math.hypot``.  So no complement is
@@ -259,5 +269,4 @@ def relative_pair(A: BlochEffect, B: BlochEffect) -> tuple[RelativePair, Reducti
     alpha = 2.0 - A.alpha if comp_a else A.alpha
     beta = 2.0 - B.alpha if comp_b else B.alpha
     pair = RelativePair(alpha, a, beta, bx, by)
-    report = ReductionReport(comp_a, comp_b, a == 0.0, b == 0.0)
-    return pair, report
+    return pair, ReductionReport(comp_a, comp_b)

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bloch import (
     BlochEffect,
     InvalidEffectError,
@@ -55,13 +53,13 @@ def dumps(obj) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return format_float(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, dict):
         return "{" + ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
@@ -85,7 +83,8 @@ def effect_from_spec(spec, label: str) -> BlochEffect:
         ):
             raise SpecError(f"{label}: field 'matrix' must be four [re, im] pairs (row-major)")
         parts = _numbers([x for e in entries for x in e], label, "matrix", "entries must be numbers")
-        mat = np.array([complex(re, im) for re, im in zip(parts[::2], parts[1::2])]).reshape(2, 2)
+        entries = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+        mat = [entries[:2], entries[2:]]
         try:
             return effect_from_matrix(mat)
         except InvalidEffectError as exc:

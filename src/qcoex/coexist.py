@@ -165,18 +165,32 @@ def is_coexistent(A: BlochEffect, B: BlochEffect) -> bool:
     return classify(pair).coexistent
 
 
+def _check_parameters(alpha: float, a: float, beta: float) -> None:
+    """Raise ValueError unless 0 < alpha, beta <= 1 and 0 <= a <= alpha + DOMAIN_TOL (a NaN fails)."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must be in (0, 1], got {beta!r}")
+    if not 0.0 <= a <= alpha + DOMAIN_TOL:
+        raise ValueError(f"a must be in [0, alpha], got a={a!r}, alpha={alpha!r}")
+
+
 def by_max(alpha: float, a: float, beta: float, bx: float) -> float:
     """Largest allowed perpendicular component at direction component ``bx``.
 
-    Defined on the restricted regime: beta > 1 - S(alpha, a), a > 0 and
+    Defined on the restricted regime of reduced parameters: 0 < alpha,
+    beta <= 1, 0 < a <= alpha, beta > 1 - S(alpha, a), a finite bx and
     |bx - b0| <= w (the closed interval; at the endpoints the value meets
     the full-length circle, sqrt(bx^2 + by_max^2) = beta).
 
     Raises:
         ValueError: when a precondition fails, naming it.
     """
+    _check_parameters(alpha, a, beta)
     if a <= 0.0:
         raise ValueError("by_max requires a > 0")
+    if not math.isfinite(bx):
+        raise ValueError(f"bx must be finite, got {bx!r}")
     s = sharpness_scalar(alpha, a)
     if beta <= 1.0 - s - DOMAIN_TOL:
         raise ValueError(
@@ -223,12 +237,7 @@ def boundary_curve(
         ValueError: for parameters outside their ranges, or ``n_samples``
             outside [16, 100 000].
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta!r}")
-    if not 0.0 <= a <= alpha + DOMAIN_TOL:
-        raise ValueError(f"a must be in [0, alpha], got a={a!r}, alpha={alpha!r}")
+    _check_parameters(alpha, a, beta)
     if not 16 <= n_samples <= _MAX_SAMPLES:
         raise ValueError(
             f"n_samples must be between 16 and {_MAX_SAMPLES}, got {n_samples!r}"

@@ -5,8 +5,11 @@ disks encoding the operator constraints on the shared first outcome have a
 common point.  The feasibility test per gamma is exact and finite: the
 smallest largest violation over the four disks is attained at a disk
 center, at a balance point between two centers or at a triple point where
-three violations are equal, and only these candidates are built.  The
-oracle shares no formulas with the closed-form classification.
+three violations are equal, and only these candidates are built.  One
+array kernel (_minimax) evaluates that test for many gammas of a pair at
+once: ``oracle_scan`` searches the gamma grid with it, and
+``disks_feasible(pair, gamma)`` asks it about one gamma.  The oracle shares
+no formulas with the closed-form classification.
 """
 
 from __future__ import annotations
@@ -20,15 +23,10 @@ from .bloch import BlochEffect, RelativePair, relative_pair
 from .tolerance import BOUNDARY_TOL, CONVEXITY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL
 
 __all__ = [
-    "DiskSystem",
     "OracleResult",
-    "disks_at",
     "disks_feasible",
     "oracle_coexistent",
     "oracle_scan",
-    "point_violation",
-    "random_effect",
-    "random_effect_pair",
 ]
 
 DEFAULT_GRID = 10_000
@@ -44,30 +42,6 @@ _STEPS = np.linspace(0.0, 1.0, _CELLS + 1)
 _ROOTS = np.array([[1.0], [-1.0]])
 
 
-@dataclass(frozen=True, eq=False)
-class DiskSystem:
-    """Planar feasibility system for the shared-outcome vector.
-
-    Centers sit at the corners of the parallelogram spanned by the two
-    reduced Bloch vectors: (0,0), (a,0), (bx,by), (a+bx,by).  Radii are
-    (gamma, alpha-gamma, beta-gamma, 2+gamma-alpha-beta); a negative radius
-    marks that disk as empty (the system is infeasible at this gamma).
-    """
-
-    centers: np.ndarray  # (4, 2)
-    radii: np.ndarray  # (4,)
-    gamma: float
-
-    def __post_init__(self) -> None:
-        centers = np.asarray(self.centers, dtype=float).reshape(4, 2)
-        radii = np.asarray(self.radii, dtype=float).reshape(4)
-        centers.setflags(write=False)
-        radii.setflags(write=False)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "gamma", float(self.gamma))
-
-
 def _centers(p: RelativePair) -> np.ndarray:
     return np.array([[0.0, 0.0], [p.a, 0.0], [p.bx, p.by], [p.a + p.bx, p.by]])
 
@@ -75,20 +49,6 @@ def _centers(p: RelativePair) -> np.ndarray:
 def _radii(p: RelativePair, gammas):
     """Radii of the four disks, shape (4,) for one gamma or (4, m) for m gammas."""
     return np.array([gammas, p.alpha - gammas, p.beta - gammas, 2.0 + gammas - p.alpha - p.beta])
-
-
-def disks_at(p: RelativePair, gamma: float) -> DiskSystem:
-    """Disk system of a canonical pair at a given gamma."""
-    return DiskSystem(_centers(p), _radii(p, gamma), gamma)
-
-
-def point_violation(d: DiskSystem, point) -> float:
-    """Largest membership violation of the point over the four disks (<= 0 inside)."""
-    x, y = point
-    worst = -math.inf
-    for (cx, cy), r in zip(d.centers, d.radii):
-        worst = max(worst, math.hypot(x - cx, y - cy) - r)
-    return worst
 
 
 def _geometry(centers: np.ndarray) -> tuple:
@@ -195,14 +155,15 @@ def _minimax(geometry: tuple, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return worst[best, cols], xy[:, best, cols].T
 
 
-def disks_feasible(d: DiskSystem) -> tuple[float, float] | None:
-    """Exact finite feasibility test; returns the minimax point when it is inside.
+def disks_feasible(p: RelativePair, gamma: float) -> tuple[float, float] | None:
+    """Exact finite feasibility test of the pair's four disks at one gamma.
 
-    The point is the candidate with the smallest max violation, so it lies
-    in every disk (within ``BOUNDARY_TOL``) exactly when the system is
-    feasible.
+    Returns the minimax point when it is inside: the point is the candidate
+    with the smallest max violation, so it lies in every disk (within
+    ``BOUNDARY_TOL``) exactly when the system is feasible.  The scan does
+    not call this; it evaluates many gammas per kernel call (_Profile).
     """
-    value, point = _minimax(_geometry(d.centers), d.radii[:, None])
+    value, point = _minimax(_geometry(_centers(p)), _radii(p, gamma)[:, None])
     if value[0] <= BOUNDARY_TOL:
         return float(point[0, 0]), float(point[0, 1])
     return None
@@ -444,16 +405,3 @@ def oracle_coexistent(A: BlochEffect, B: BlochEffect, grid: int = DEFAULT_GRID) 
     pair, _ = relative_pair(A, B)
     return oracle_scan(pair, grid)
 
-
-def random_effect(rng: np.random.Generator) -> BlochEffect:
-    """Random valid effect: alpha uniform on (0, 1], Bloch length uniform on [0, alpha)."""
-    alpha = 1.0 - rng.random()
-    a = alpha * rng.random()
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return BlochEffect(alpha, a * v)
-
-
-def random_effect_pair(rng: np.random.Generator) -> tuple[BlochEffect, BlochEffect]:
-    """Two independent random effects; reproducible from the generator state."""
-    return random_effect(rng), random_effect(rng)

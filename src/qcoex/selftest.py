@@ -9,11 +9,13 @@ import numpy as np
 
 from .bloch import BlochEffect, RelativePair, complement, relative_pair
 from .coexist import classify, is_coexistent, special_case_verdict
-from .oracle import DEFAULT_GRID, oracle_scan, random_effect, random_effect_pair
+from .oracle import DEFAULT_GRID, oracle_scan
 from .tolerance import BOUNDARY_BAND, SPECIAL_CASE_BAND
 
 __all__ = [
     "SuiteResult",
+    "random_effect",
+    "random_effect_pair",
     "run_all",
     "suite_complement_invariance",
     "suite_convex_combination",
@@ -22,6 +24,11 @@ __all__ = [
     "suite_scaling",
     "suite_special_cases",
 ]
+
+# The closure suites try each draw at N_LAMBDAS evenly spaced weights and
+# stop after MAX_DRAWS_FACTOR * n draws.
+N_LAMBDAS = 10
+MAX_DRAWS_FACTOR = 60
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,20 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return self.violations == 0
+
+
+def random_effect(rng: np.random.Generator) -> BlochEffect:
+    """Random valid effect: alpha uniform on (0, 1], Bloch length uniform on [0, alpha)."""
+    alpha = 1.0 - rng.random()
+    a = alpha * rng.random()
+    v = rng.normal(size=3)
+    v /= np.linalg.norm(v)
+    return BlochEffect(alpha, a * v)
+
+
+def random_effect_pair(rng: np.random.Generator) -> tuple[BlochEffect, BlochEffect]:
+    """Two independent random effects; reproducible from the generator state."""
+    return random_effect(rng), random_effect(rng)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -83,21 +104,19 @@ def suite_rotation_invariance(n: int, seed: int) -> SuiteResult:
     return SuiteResult("rotation-invariance", n, violations)
 
 
-def _closure_suite(
-    name: str, n: int, seed: int, n_effects: int, member, n_lambdas: int, max_draws_factor: int
-) -> SuiteResult:
+def _closure_suite(name: str, n: int, seed: int, n_effects: int, member) -> SuiteResult:
     """A coexistent with each of its partners is coexistent with ``member(*partners, lam)``.
 
     Draws A and ``n_effects - 1`` partners, skipping draws where A misses a
-    partner, until n are checked or ``max_draws_factor * n`` are drawn.
+    partner, until n are checked or ``MAX_DRAWS_FACTOR * n`` are drawn.
     """
     rng = np.random.default_rng(seed)
-    lambdas = np.linspace(0.0, 1.0, n_lambdas)
+    lambdas = np.linspace(0.0, 1.0, N_LAMBDAS)
     checked = 0
     skipped = 0
     violations = 0
     draws = 0
-    while checked < n and draws < max_draws_factor * n:
+    while checked < n and draws < MAX_DRAWS_FACTOR * n:
         draws += 1
         A, *partners = [random_effect(rng) for _ in range(n_effects)]
         if not all(is_coexistent(A, X) for X in partners):
@@ -117,16 +136,14 @@ def _downscaling(B: BlochEffect, lam: float) -> BlochEffect:
     return BlochEffect(lam * B.alpha, lam * B.avec)
 
 
-def suite_convex_combination(
-    n: int, seed: int, n_lambdas: int = 10, max_draws_factor: int = 60
-) -> SuiteResult:
+def suite_convex_combination(n: int, seed: int) -> SuiteResult:
     """A coexistent with B and C implies A coexistent with every mixture of B, C."""
-    return _closure_suite("convex-combination", n, seed, 3, _mixture, n_lambdas, max_draws_factor)
+    return _closure_suite("convex-combination", n, seed, 3, _mixture)
 
 
-def suite_scaling(n: int, seed: int, n_lambdas: int = 10, max_draws_factor: int = 60) -> SuiteResult:
+def suite_scaling(n: int, seed: int) -> SuiteResult:
     """A coexistent with B implies A coexistent with every downscaling of B."""
-    return _closure_suite("scaling", n, seed, 2, _downscaling, n_lambdas, max_draws_factor)
+    return _closure_suite("scaling", n, seed, 2, _downscaling)
 
 
 def _busch_pair(rng: np.random.Generator) -> RelativePair:
@@ -151,13 +168,12 @@ def _molnar_pair(rng: np.random.Generator) -> RelativePair:
     )
 
 
-def suite_special_cases(
-    n: int, seed: int, band: float = SPECIAL_CASE_BAND
-) -> SuiteResult:
+def suite_special_cases(n: int, seed: int) -> SuiteResult:
     """Closed-form special-domain checkers agree with the general classification.
 
-    Draws n pairs per domain; instances within ``band`` of a closed-form
-    decision boundary are skipped (floating-point shimmer, not disagreement).
+    Draws n pairs per domain; instances within ``SPECIAL_CASE_BAND`` of a
+    closed-form decision boundary are skipped (floating-point shimmer, not
+    disagreement).
     """
     rng = np.random.default_rng(seed)
     checked = 0
@@ -169,7 +185,7 @@ def suite_special_cases(
             pair = make(rng)
             special = special_case_verdict(pair)
             assert special is not None
-            if special.margin < band:
+            if special.margin < SPECIAL_CASE_BAND:
                 skipped += 1
                 continue
             checked += 1
@@ -179,12 +195,10 @@ def suite_special_cases(
     return SuiteResult("special-cases", checked, violations, skipped, worst)
 
 
-def suite_oracle_agreement(
-    n: int, seed: int, grid: int = DEFAULT_GRID, band: float = BOUNDARY_BAND
-) -> SuiteResult:
+def suite_oracle_agreement(n: int, seed: int, grid: int = DEFAULT_GRID) -> SuiteResult:
     """Brute-force oracle agrees with the classification outside the margin band.
 
-    Pairs whose oracle margin is within ``band`` of zero are skipped.
+    Pairs whose oracle margin is within ``BOUNDARY_BAND`` of zero are skipped.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
@@ -197,7 +211,7 @@ def suite_oracle_agreement(
         A, B = random_effect_pair(rng)
         pair, _ = relative_pair(A, B)
         result = oracle_scan(pair, grid)
-        if abs(result.margin) < band:
+        if abs(result.margin) < BOUNDARY_BAND:
             skipped += 1
             continue
         checked += 1

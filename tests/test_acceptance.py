@@ -22,8 +22,9 @@ from qcoex.bloch import (
 )
 from qcoex.cli import PRESETS
 from qcoex.coexist import boundary_curve, by_max, classify, is_coexistent
-from qcoex.oracle import random_effect_pair
 from qcoex.selftest import (
+    N_LAMBDAS,
+    random_effect_pair,
     random_rotation,
     suite_complement_invariance,
     suite_convex_combination,
@@ -32,6 +33,7 @@ from qcoex.selftest import (
     suite_scaling,
     suite_special_cases,
 )
+from qcoex.tolerance import BOUNDARY_BAND, SPECIAL_CASE_BAND
 from qcoex.witness import Witness, assemble_observable, find_witness, operator_inequalities_hold
 
 SQRT3_INV = 1.0 / math.sqrt(3.0)
@@ -70,7 +72,8 @@ def test_criterion_1_figure_presets():
 
 def test_criterion_2_special_case_equivalence():
     start = time.perf_counter()
-    result = suite_special_cases(10_000, seed=2024, band=1e-9)
+    assert SPECIAL_CASE_BAND == 1e-9
+    result = suite_special_cases(10_000, seed=2024)
     elapsed = time.perf_counter() - start
     assert result.violations == 0
     assert result.checked + result.skipped == 30_000
@@ -81,7 +84,8 @@ def test_criterion_2_special_case_equivalence():
 
 def test_criterion_3_oracle_agreement():
     start = time.perf_counter()
-    result = suite_oracle_agreement(1000, seed=2025, grid=10_000, band=1e-6)
+    assert BOUNDARY_BAND == 1e-6
+    result = suite_oracle_agreement(1000, seed=2025, grid=10_000)
     elapsed = time.perf_counter() - start
     assert result.violations == 0
     assert result.checked + result.skipped == 1000
@@ -131,7 +135,7 @@ def test_criterion_5_symmetric_informationally_complete_pair():
     assert abs(report.residuals[0]) <= 1e-12
     obs = assemble_observable(A, B, wt)
     for g in obs.effects():
-        assert g.validity_residual() <= 1e-9
+        assert max(g.a - g.alpha, g.alpha - (2.0 - g.a)) <= 1e-9
     # the search itself also certifies the pair, staying in the vector plane
     found = find_witness(A, B)
     assert found.gamma == pytest.approx(0.5, abs=1e-12)
@@ -167,11 +171,12 @@ def test_criterion_6_sharpness_property_suite():
 
 
 def test_criterion_7_invariance_suites():
+    assert N_LAMBDAS == 10
     results = [
         suite_complement_invariance(1000, seed=11),
         suite_rotation_invariance(1000, seed=12),
-        suite_convex_combination(1000, seed=13, n_lambdas=10),
-        suite_scaling(1000, seed=14, n_lambdas=10),
+        suite_convex_combination(1000, seed=13),
+        suite_scaling(1000, seed=14),
     ]
     for result in results:
         assert result.checked == 1000, result

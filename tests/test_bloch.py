@@ -69,6 +69,37 @@ class TestEffectFromBloch:
     def test_generated_effects_accepted(self, e):
         effect_from_bloch(e.alpha, e.avec)
 
+    @pytest.mark.parametrize(
+        "alpha,avec,field",
+        [
+            (0.5, [0.1, 0.2], "avec"),
+            (0.5, None, "avec"),
+            (0.5, ["x", 0, 0], "avec"),
+            (0.5, [[0.1, 0.2, 0.3]], "avec"),
+            (0.5, np.array([[0.1, 0.2, 0.3]]), "avec"),
+            (0.5, [True, 0.0, 0.0], "avec"),
+            (None, [0.1, 0.2, 0.3], "alpha"),
+            ("0.5", [0.1, 0.2, 0.3], "alpha"),
+        ],
+        ids=["short", "none", "string-entry", "nested", "2-d-array", "bool-entry", "alpha-none", "alpha-string"],
+    )
+    def test_malformed_input_names_its_field(self, alpha, avec, field):
+        with pytest.raises(InvalidEffectError, match=f"field '{field}'"):
+            effect_from_bloch(alpha, avec)
+
+    @pytest.mark.parametrize(
+        "avec",
+        [[0.1, 0.2, 0.3], (0.1, 0.2, 0.3), np.array([0.1, 0.2, 0.3]), (0, 0, 1), np.array([0.1, 0.2, 0.3], np.float32)],
+        ids=["list", "tuple", "array", "ints", "float32-array"],
+    )
+    def test_real_vectors_accepted(self, avec):
+        e = effect_from_bloch(1.0, avec)
+        assert e.avec.tolist() == [float(x) for x in avec]
+
+    def test_number_too_large_for_a_float_rejected(self):
+        with pytest.raises(InvalidEffectError, match="finite"):
+            effect_from_bloch(10**400, (0.0, 0.0, 0.0))
+
 
 class TestMatrixConversion:
     def test_projection_matrix(self):
@@ -115,6 +146,19 @@ class TestMatrixConversion:
     def test_non_finite_entry_rejected(self):
         with pytest.raises(InvalidEffectError, match="finite"):
             effect_from_matrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))
+
+    def test_string_entries_rejected(self):
+        with pytest.raises(InvalidEffectError, match="entries must be numbers"):
+            effect_from_matrix([["a", "b"], ["c", "d"]])
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(InvalidEffectError, match="equal lengths"):
+            effect_from_matrix([[0.5, 0.0], [0.0]])
+
+    def test_nested_lists_of_numbers_accepted(self):
+        e = effect_from_matrix([[0.3 + 0j, 0.25], [0.25, 0.3]])
+        assert e.alpha == pytest.approx(0.6, abs=1e-15)
+        assert e.avec.tolist() == pytest.approx([0.5, 0.0, 0.0], abs=1e-15)
 
 
 class TestComplement:
@@ -219,8 +263,8 @@ class TestRelativePair:
     def test_trivial_first_effect_convention(self):
         A = BlochEffect(0.5, (0.0, 0.0, 0.0))
         B = effect_from_bloch(0.9, (0.1, 0.2, 0.2))
-        p, rep = relative_pair(A, B)
-        assert rep.a_trivial
+        p, _ = relative_pair(A, B)
+        assert p.a == 0.0
         assert p.bx == pytest.approx(B.a, abs=1e-15)
         assert p.by == 0.0
 
@@ -280,9 +324,9 @@ class TestRelativePair:
     # a subnormal first vector, whose products with the second lose digits
     @example(BlochEffect(1.0, (0.0, 0.0, -5e-324)), BlochEffect(0.75, (9.18485099e-17, 0.0, -0.75)))
     def test_reduction_invariants(self, A, B):
-        p, rep = relative_pair(A, B)
+        p, _ = relative_pair(A, B)
         assert 0.0 <= p.alpha <= 1.0
         assert 0.0 <= p.beta <= 1.0
         assert p.by >= 0.0
         assert p.bx * p.bx + p.by * p.by <= p.beta * p.beta + 1e-9
-        assert rep.a_trivial == (p.a == 0.0)
+        assert (p.a == 0.0) == (A.a == 0.0)

@@ -21,7 +21,7 @@ from qcoex.coexist import (
     is_coexistent,
     special_case_verdict,
 )
-from qcoex.oracle import random_effect_pair
+from qcoex.selftest import random_effect_pair
 
 # Independently computed with 40-digit arithmetic.
 S_06_05 = 0.3281475155779856
@@ -186,8 +186,6 @@ class TestIsCoexistent:
 
     def test_symmetry(self):
         rng = np.random.default_rng(13)
-        from qcoex.oracle import random_effect_pair
-
         for _ in range(300):
             A, B = random_effect_pair(rng)
             assert is_coexistent(A, B) == is_coexistent(B, A)
@@ -227,6 +225,24 @@ class TestByMax:
     def test_requires_bx_in_interval(self):
         with pytest.raises(ValueError, match="interval"):
             by_max(0.6, 0.6, 0.9, 0.95)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # an unreduced alpha gave 0.893, a beta above 1 an ArithmeticError
+            ((1.5, 0.3, 0.9, 0.1), r"alpha must be in \(0, 1\]"),
+            ((0.6, 0.5, 1.5, 0.1), r"beta must be in \(0, 1\]"),
+            ((0.6, 0.7, 0.9, 0.1), r"a must be in \[0, alpha\]"),
+            # a NaN gave NaN
+            ((math.nan, 0.5, 0.9, 0.1), "alpha must be"),
+            ((0.6, 0.5, 0.9, math.nan), "bx must be finite"),
+            ((0.6, 0.5, 0.9, math.inf), "bx must be finite"),
+        ],
+        ids=["alpha-unreduced", "beta-above-one", "a-above-alpha", "alpha-nan", "bx-nan", "bx-inf"],
+    )
+    def test_rejects_parameters_outside_the_domain(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            by_max(*args)
 
     def test_strictly_inside_circle(self):
         rng = np.random.default_rng(4)
@@ -300,6 +316,19 @@ class TestBoundaryCurve:
     def test_rejects_bad_parameters(self, args):
         with pytest.raises(ValueError):
             boundary_curve(*args, 64)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((1.2, 0.5, 0.5), "alpha must be in (0, 1], got 1.2"),
+            ((0.6, 0.5, 1.3), "beta must be in (0, 1], got 1.3"),
+            ((0.6, 0.7, 0.5), "a must be in [0, alpha], got a=0.7, alpha=0.6"),
+        ],
+    )
+    def test_parameter_messages(self, args, message):
+        with pytest.raises(ValueError) as info:
+            boundary_curve(*args, 64)
+        assert str(info.value) == message
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError, match="n_samples"):

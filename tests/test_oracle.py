@@ -1,99 +1,109 @@
 """Disk-system geometry, exact feasibility, gamma scans, agreement sweeps."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import qcoex
+import reference
 import workloads
 from qcoex.bloch import BlochEffect, RelativePair, effect_from_bloch, relative_pair
 from qcoex.coexist import by_max, classify
 from qcoex.oracle import (
     _CELLS,
     _MAX_GRID,
-    DiskSystem,
     _centers,
     _geometry,
     _minimax,
     _Profile,
     _radii,
     _search,
-    disks_at,
     disks_feasible,
     oracle_coexistent,
     oracle_scan,
-    point_violation,
-    random_effect,
-    random_effect_pair,
 )
-from qcoex.selftest import suite_oracle_agreement
+from qcoex.selftest import random_effect, random_effect_pair, suite_oracle_agreement
 from qcoex.tolerance import BOUNDARY_TOL, CONVEXITY_TOL, ENDPOINT_TOL, MINIMUM_TOL
 from qcoex.witness import gamma_interval_2ci
 
 SQRT3_INV = 1.0 / math.sqrt(3.0)
 
 
+def max_violation(centers: np.ndarray, radii: np.ndarray, point) -> float:
+    """Largest membership violation of the point over the disks (<= 0 inside)."""
+    x, y = point
+    return max(math.hypot(x - cx, y - cy) - r for (cx, cy), r in zip(centers.tolist(), radii.tolist()))
+
+
 class TestDisksAt:
+    """The four disks of a pair at one gamma: _centers and _radii."""
+
     def test_zero_gamma_degenerates_first_disk(self):
-        d = disks_at(RelativePair(0.6, 0.5, 0.9, 0.1, 0.2), 0.0)
-        assert d.radii[0] == 0.0
+        assert _radii(RelativePair(0.6, 0.5, 0.9, 0.1, 0.2), 0.0)[0] == 0.0
 
     def test_gamma_at_cap_degenerates_a_shrinking_disk(self):
         p = RelativePair(0.6, 0.5, 0.9, 0.1, 0.2)
-        d = disks_at(p, min(p.alpha, p.beta))
-        assert min(d.radii[1], d.radii[2]) == 0.0
+        radii = _radii(p, min(p.alpha, p.beta))
+        assert min(radii[1], radii[2]) == 0.0
 
     def test_unit_square_case(self):
-        d = disks_at(RelativePair(1.0, 1.0, 1.0, 0.0, 1.0), 0.5)
-        assert np.allclose(d.radii, 0.5)
-        assert np.allclose(d.centers, [[0, 0], [1, 0], [0, 1], [1, 1]])
+        p = RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)
+        assert np.allclose(_radii(p, 0.5), 0.5)
+        assert np.allclose(_centers(p), [[0, 0], [1, 0], [0, 1], [1, 1]])
 
     def test_monotone_radius_structure(self):
         p = RelativePair(0.7, 0.4, 0.8, 0.1, 0.3)
-        lo = disks_at(p, 0.1)
-        hi = disks_at(p, 0.3)
+        lo = _radii(p, 0.1)
+        hi = _radii(p, 0.3)
         # disks tied to the first outcome and its complement grow with gamma
-        assert hi.radii[0] > lo.radii[0]
-        assert hi.radii[3] > lo.radii[3]
+        assert hi[0] > lo[0]
+        assert hi[3] > lo[3]
         # disks bounding by the two marginals shrink
-        assert hi.radii[1] < lo.radii[1]
-        assert hi.radii[2] < lo.radii[2]
+        assert hi[1] < lo[1]
+        assert hi[2] < lo[2]
 
 
-def two_disks(c0, r0: float, c1, r1: float) -> DiskSystem:
-    """Four-disk system with each of the two disks given twice."""
-    return DiskSystem(np.array([c0, c0, c1, c1]), np.array([r0, r0, r1, r1]), 0.0)
+def two_disks(c0, r0: float, c1, r1: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and radii of a four-disk system with each of the two disks given twice."""
+    return np.array([c0, c0, c1, c1], dtype=float), np.array([r0, r0, r1, r1], dtype=float)
 
 
-class TestCircleIntersections:
+def feasible_point(centers: np.ndarray, radii: np.ndarray) -> tuple[float, float] | None:
+    """The kernel's minimax point of one disk system when it is feasible, else None."""
+    (value,), (point,) = _minimax(_geometry(centers), radii[:, None])
+    return tuple(point.tolist()) if value <= BOUNDARY_TOL else None
+
+
+class TestTwoDiskMinimax:
     def test_two_crossings(self):
         d = two_disks((0.0, 0.0), 1.0, (1.0, 0.0), 1.0)
-        pt = disks_feasible(d)
+        pt = feasible_point(*d)
         # the deepest point of the lens lies midway between the centers
         assert pt == pytest.approx((0.5, 0.0), abs=1e-12)
-        assert point_violation(d, pt) == pytest.approx(-0.5, abs=1e-12)
+        assert max_violation(*d, pt) == pytest.approx(-0.5, abs=1e-12)
 
     def test_external_tangency_single_point(self):
-        pt = disks_feasible(two_disks((0.0, 0.0), 1.0, (2.0, 0.0), 1.0))
+        pt = feasible_point(*two_disks((0.0, 0.0), 1.0, (2.0, 0.0), 1.0))
         assert pt == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_internal_tangency_single_point(self):
         # the small disk touches the large one from inside, so it is the
         # common part and its center is the deepest common point
         d = two_disks((0.0, 0.0), 2.0, (1.0, 0.0), 1.0)
-        pt = disks_feasible(d)
+        pt = feasible_point(*d)
         assert pt == pytest.approx((1.0, 0.0), abs=1e-12)
-        assert point_violation(d, pt) == pytest.approx(-1.0, abs=1e-12)
+        assert max_violation(*d, pt) == pytest.approx(-1.0, abs=1e-12)
 
     def test_disjoint_and_nested(self):
-        assert disks_feasible(two_disks((0.0, 0.0), 1.0, (5.0, 0.0), 1.0)) is None
+        assert feasible_point(*two_disks((0.0, 0.0), 1.0, (5.0, 0.0), 1.0)) is None
         nested = two_disks((0.0, 0.0), 3.0, (0.5, 0.0), 1.0)
-        assert point_violation(nested, disks_feasible(nested)) <= BOUNDARY_TOL
+        assert max_violation(*nested, feasible_point(*nested)) <= BOUNDARY_TOL
 
     def test_concentric(self):
         d = two_disks((0.0, 0.0), 1.0, (0.0, 0.0), 1.0)
-        assert point_violation(d, disks_feasible(d)) <= BOUNDARY_TOL
+        assert max_violation(*d, feasible_point(*d)) <= BOUNDARY_TOL
 
 
 def rounded_disk_systems(rng, parallelogram: bool, n_centers: int, n_radii: int):
@@ -150,8 +160,7 @@ class TestMinimaxKernel:
             gx, gy = np.meshgrid(lo[0] + (hi[0] - lo[0]) * side, lo[1] + (hi[1] - lo[1]) * side)
             dist = np.stack([np.hypot(gx - cx, gy - cy).ravel() for cx, cy in centers])
             for col in range(radii.shape[1]):
-                d = DiskSystem(centers, radii[:, col], 0.0)
-                assert abs(values[col] - point_violation(d, points[col])) <= 1e-15
+                assert abs(values[col] - max_violation(centers, radii[:, col], points[col])) <= 1e-15
                 grid_best = (dist - radii[:, col, None]).max(axis=0).min()
                 assert grid_best >= values[col] - 1e-12
 
@@ -173,22 +182,20 @@ class TestMinimaxKernel:
 class TestDisksFeasible:
     def test_roomy_system_returns_point(self):
         p = RelativePair(0.6, 0.5, 0.6, 0.1, 0.2)
-        d = disks_at(p, 0.15)
-        pt = disks_feasible(d)
+        pt = disks_feasible(p, 0.15)
         assert pt is not None
-        assert point_violation(d, pt) <= BOUNDARY_TOL
+        assert reference.disk_excess(astuple(p), 0.15, pt) <= BOUNDARY_TOL
 
     def test_orthogonal_projections_never_feasible(self):
         p = RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)
         for gamma in np.linspace(0.0, 1.0, 21):
-            assert disks_feasible(disks_at(p, float(gamma))) is None
+            assert disks_feasible(p, float(gamma)) is None
 
     def test_sic_system_feasible_at_half(self):
         p = RelativePair(1.0, SQRT3_INV, 1.0, 0.0, SQRT3_INV)
-        d = disks_at(p, 0.5)
-        assert disks_feasible(d) is not None
+        assert disks_feasible(p, 0.5) is not None
         planar = (0.5 * SQRT3_INV, 0.5 * SQRT3_INV)
-        assert point_violation(d, planar) <= BOUNDARY_TOL
+        assert reference.disk_excess(astuple(p), 0.5, planar) <= BOUNDARY_TOL
 
     def test_agrees_with_rejection_sampling(self):
         # 10^6 sampled points across random systems: sampling never finds a
@@ -201,21 +208,21 @@ class TestDisksFeasible:
             A, B = random_effect_pair(rng)
             p, _ = relative_pair(A, B)
             gamma = min(p.alpha, p.beta) * rng.random()
-            d = disks_at(p, gamma)
-            verdict = disks_feasible(d)
-            smallest = int(np.argmin(d.radii))
-            c = d.centers[smallest]
-            r = max(float(d.radii[smallest]), 0.0)
+            centers, radii = _centers(p), _radii(p, gamma)
+            verdict = disks_feasible(p, gamma)
+            smallest = int(np.argmin(radii))
+            c = centers[smallest]
+            r = max(float(radii[smallest]), 0.0)
             xs = rng.uniform(c[0] - r, c[0] + r, points_per_system)
             ys = rng.uniform(c[1] - r, c[1] + r, points_per_system)
             dists = np.stack(
-                [np.hypot(xs - cx, ys - cy) - rr for (cx, cy), rr in zip(d.centers, d.radii)]
+                [np.hypot(xs - cx, ys - cy) - rr for (cx, cy), rr in zip(centers, radii)]
             ).max(axis=0)
             sampled_feasible = bool((dists <= 0.0).any())
             if verdict is None:
                 assert not sampled_feasible
             else:
-                assert point_violation(d, verdict) <= BOUNDARY_TOL
+                assert reference.disk_excess(astuple(p), gamma, verdict) <= BOUNDARY_TOL
 
 
 def criterion_3_pairs(n: int) -> list[RelativePair]:
@@ -320,9 +327,8 @@ class TestOracleScan:
         assert full_profile(THIN, np.linspace(0.0, 0.6, 10_001))[0].min() > BOUNDARY_TOL
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the scan rebuilt a disk system")
+            raise AssertionError("the scan made a per-gamma check")
 
-        monkeypatch.setattr("qcoex.oracle.disks_at", refuse)
         monkeypatch.setattr("qcoex.oracle.disks_feasible", refuse)
         results = [oracle_scan(p, 10_000) for p in pairs]
         monkeypatch.undo()
@@ -330,13 +336,13 @@ class TestOracleScan:
         for p, res in zip(pairs, results):
             if not res.coexistent:
                 continue
-            assert res.point == disks_feasible(disks_at(p, res.gamma))
-            assert point_violation(disks_at(p, res.gamma), res.point) <= BOUNDARY_TOL
+            assert res.point == disks_feasible(p, res.gamma)
+            assert reference.disk_excess(astuple(p), res.gamma, res.point) <= BOUNDARY_TOL
             gmax = min(p.alpha, p.beta)
             for edge, outward in ((res.gamma_lo, -ENDPOINT_TOL), (res.gamma_hi, ENDPOINT_TOL)):
-                assert disks_feasible(disks_at(p, edge)) is not None
+                assert disks_feasible(p, edge) is not None
                 if edge not in (0.0, gmax):
-                    assert disks_feasible(disks_at(p, edge + outward)) is None
+                    assert disks_feasible(p, edge + outward) is None
 
     @pytest.mark.parametrize(
         "pairs",
@@ -400,7 +406,7 @@ class TestOracleScan:
                 assert np.searchsorted(gammas, res.gamma_lo) == inside[0]
                 assert np.searchsorted(gammas, res.gamma_hi, side="right") - 1 == inside[-1]
             assert res.gamma_lo <= res.gamma <= res.gamma_hi
-            assert point_violation(disks_at(p, res.gamma), res.point) <= BOUNDARY_TOL
+            assert reference.disk_excess(astuple(p), res.gamma, res.point) <= BOUNDARY_TOL
 
     def test_work_is_counted_and_bounded(self, monkeypatch):
         # kernel_calls and columns are the scan's kernel calls and the gammas
@@ -631,7 +637,7 @@ class TestRandomGeneration:
             e = random_effect(rng)
             assert 0.0 < e.alpha <= 1.0
             assert e.a <= e.alpha
-            assert e.validity_residual() <= 0.0
+            assert max(e.a - e.alpha, e.alpha - (2.0 - e.a)) <= 0.0
 
     def test_reproducible_from_seed(self):
         a1 = random_effect(np.random.default_rng(99))

@@ -17,7 +17,7 @@ from qcoex.bloch import (
     sharpness_scalar,
 )
 from qcoex.coexist import classify
-from qcoex.oracle import DiskSystem, _cut, disks_feasible
+from qcoex.oracle import _cut, disks_feasible
 from qcoex.tolerance import BOUNDARY_TOL, CONVEXITY_TOL, DOMAIN_TOL, MATRIX_TOL
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qcoex"
@@ -92,11 +92,12 @@ class TestBoundaryTol:
 
     @pytest.mark.parametrize("scale,feasible", [(INSIDE, True), (OUTSIDE, False)])
     def test_disks_feasible(self, scale, feasible):
-        # equal disks centred 1 apart, each ending scale * BOUNDARY_TOL short
-        # of the midpoint, where the minimax violation is that shortfall
-        r = 0.5 - scale * BOUNDARY_TOL
-        centers = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
-        assert (disks_feasible(DiskSystem(centers, [r] * 4, 0.0)) is not None) == feasible
+        # a sharp projection with the trivial effect I/2: disk centres 1
+        # apart, at each the smaller radius is min(gamma, 1 - gamma), so at
+        # gamma = 0.5 - scale * BOUNDARY_TOL both disks end that far short of
+        # the midpoint, where the minimax violation is that shortfall
+        gamma = 0.5 - scale * BOUNDARY_TOL
+        assert (disks_feasible(RelativePair(1.0, 1.0, 1.0, 0.0, 0.0), gamma) is not None) == feasible
 
 
 class TestConvexityTol:

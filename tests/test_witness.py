@@ -28,7 +28,7 @@ from qcoex.coexist import (
     classify,
     is_coexistent,
 )
-from qcoex.oracle import random_effect_pair
+from qcoex.selftest import random_effect_pair
 from qcoex.tolerance import PSD_TOL
 from qcoex.witness import (
     InequalityReport,
@@ -506,7 +506,7 @@ class TestAssembleObservable:
             total = sum((effect_to_matrix(g) for g in obs.effects()), np.zeros((2, 2), complex))
             assert np.abs(total - np.eye(2)).max() <= 1e-12
             for g in obs.effects():
-                assert g.validity_residual() <= 1e-9
+                assert max(g.a - g.alpha, g.alpha - (2.0 - g.a)) <= 1e-9
 
     def test_carries_the_check_that_admitted_it(self):
         A, B = sic_pair()
