@@ -48,22 +48,24 @@ class BlochEffect:
     """Qubit effect (alpha * I + avec . sigma) / 2.
 
     Plain immutable container; use :func:`effect_from_bloch` or
-    :func:`effect_from_matrix` when the input needs validation.
+    :func:`effect_from_matrix` when the input needs validation.  ``alpha``
+    is stored as a float and ``avec`` as a tuple of three floats, whatever
+    real sequence of length 3 (an array included) was passed; array
+    arithmetic on it needs ``np.asarray(e.avec)``.
     """
 
     alpha: float
-    avec: np.ndarray
+    avec: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        vec = np.array(self.avec, dtype=float).reshape(3)
-        vec.setflags(write=False)
+        x, y, z = self.avec
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "avec", vec)
+        object.__setattr__(self, "avec", (float(x), float(y), float(z)))
 
     @property
     def a(self) -> float:
         """Length of the Bloch vector."""
-        return math.hypot(*self.avec.tolist())
+        return math.hypot(*self.avec)
 
 
 def _is_real(x) -> bool:
@@ -84,14 +86,14 @@ def effect_from_bloch(alpha: float, avec) -> BlochEffect:
     """
     if not _is_real(alpha):
         raise InvalidEffectError(f"field 'alpha' must be a real number, got {type(alpha).__name__}")
-    items = avec.tolist() if isinstance(avec, np.ndarray) and avec.ndim == 1 else avec
+    items = tuple(avec) if isinstance(avec, np.ndarray) and avec.ndim == 1 else avec
     if not isinstance(items, (list, tuple)) or len(items) != 3 or not all(map(_is_real, items)):
         raise InvalidEffectError("field 'avec' must be a length-3 list, tuple or 1-D array of real numbers")
     try:
         effect = BlochEffect(alpha, items)
     except OverflowError:
         raise InvalidEffectError("effect parameters must be finite") from None
-    if not math.isfinite(effect.alpha) or not np.all(np.isfinite(effect.avec)):
+    if not all(map(math.isfinite, (effect.alpha, *effect.avec))):
         raise InvalidEffectError("effect parameters must be finite")
     a = effect.a
     if effect.alpha < a - DOMAIN_TOL:
@@ -107,7 +109,8 @@ def effect_from_bloch(alpha: float, avec) -> BlochEffect:
 
 def complement(e: BlochEffect) -> BlochEffect:
     """Complementary effect 1 - E, i.e. (2 - alpha, -avec); involutive."""
-    return BlochEffect(2.0 - e.alpha, -e.avec)
+    x, y, z = e.avec
+    return BlochEffect(2.0 - e.alpha, (-x, -y, -z))
 
 
 def effect_to_matrix(e: BlochEffect) -> np.ndarray:
@@ -153,9 +156,9 @@ def effect_from_matrix(m) -> BlochEffect:
     h = 0.5 * (mat + mat.conj().T)
     evals = np.linalg.eigvalsh(h)
     if evals[0] < -MATRIX_TOL:
-        raise InvalidEffectError(f"eigenvalue {evals[0]!r} below 0")
+        raise InvalidEffectError(f"eigenvalue {float(evals[0])!r} below 0")
     if evals[-1] > 1.0 + MATRIX_TOL:
-        raise InvalidEffectError(f"eigenvalue {evals[-1]!r} above 1")
+        raise InvalidEffectError(f"eigenvalue {float(evals[-1])!r} above 1")
     alpha = float((h[0, 0] + h[1, 1]).real)
     ax = float((h[0, 1] + h[1, 0]).real)
     ay = float((h[1, 0] - h[0, 1]).imag)
@@ -245,7 +248,7 @@ def relative_pair(A: BlochEffect, B: BlochEffect) -> tuple[RelativePair, Reducti
     """
     comp_a = A.alpha > 1.0
     comp_b = B.alpha > 1.0
-    (ax, ay, az), (qx, qy, qz) = A.avec.tolist(), B.avec.tolist()
+    (ax, ay, az), (qx, qy, qz) = A.avec, B.avec
     if comp_a != comp_b:
         ax, ay, az = -ax, -ay, -az
     a = math.hypot(ax, ay, az)

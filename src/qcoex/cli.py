@@ -144,7 +144,7 @@ def load_effect_arg(text: str, label: str) -> BlochEffect:
 
 
 def _effect_payload(e: BlochEffect) -> dict:
-    return {"alpha": e.alpha, "a": [float(v) for v in e.avec]}
+    return {"alpha": e.alpha, "a": list(e.avec)}
 
 
 def _witness_payload(A: BlochEffect, B: BlochEffect) -> dict | None:
@@ -155,7 +155,7 @@ def _witness_payload(A: BlochEffect, B: BlochEffect) -> dict | None:
     names = ("G1", "G2", "G3", "G4")
     return {
         "gamma": wt.gamma,
-        "g": [float(v) for v in wt.gvec],
+        "g": list(wt.gvec),
         "residuals": list(observable.report.residuals),
         "effects": {name: _effect_payload(g) for name, g in zip(names, observable.effects())},
     }

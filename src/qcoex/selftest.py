@@ -56,7 +56,7 @@ def random_effect(rng: np.random.Generator) -> BlochEffect:
     a = alpha * rng.random()
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
-    return BlochEffect(alpha, a * v)
+    return BlochEffect(alpha, (a * v).tolist())
 
 
 def random_effect_pair(rng: np.random.Generator) -> tuple[BlochEffect, BlochEffect]:
@@ -111,7 +111,7 @@ def _closure_suite(name: str, n: int, seed: int, n_effects: int, member) -> Suit
     partner, until n are checked or ``MAX_DRAWS_FACTOR * n`` are drawn.
     """
     rng = np.random.default_rng(seed)
-    lambdas = np.linspace(0.0, 1.0, N_LAMBDAS)
+    lambdas = np.linspace(0.0, 1.0, N_LAMBDAS).tolist()
     checked = 0
     skipped = 0
     violations = 0
@@ -129,11 +129,12 @@ def _closure_suite(name: str, n: int, seed: int, n_effects: int, member) -> Suit
 
 
 def _mixture(B: BlochEffect, C: BlochEffect, lam: float) -> BlochEffect:
-    return BlochEffect(lam * B.alpha + (1.0 - lam) * C.alpha, lam * B.avec + (1.0 - lam) * C.avec)
+    mixed = [lam * x + (1.0 - lam) * y for x, y in zip(B.avec, C.avec)]
+    return BlochEffect(lam * B.alpha + (1.0 - lam) * C.alpha, mixed)
 
 
 def _downscaling(B: BlochEffect, lam: float) -> BlochEffect:
-    return BlochEffect(lam * B.alpha, lam * B.avec)
+    return BlochEffect(lam * B.alpha, [lam * x for x in B.avec])
 
 
 def suite_convex_combination(n: int, seed: int) -> SuiteResult:

@@ -13,14 +13,17 @@ allowed region (same bx, largest allowed by) with the commuting partner at
 by = 0.  Nothing here calls the oracle, so the two check each other.
 
 A witness is built on Python floats, with a complemented effect's vector
-negated in place rather than a complement object made.  The check forms the
-four outcome vectors on floats and makes one (4, 3) array for the residuals
-and one stack of 2x2 complex matrices for a single ``eigvalsh``.
+negated in place rather than a complement object made; its ``gvec``, like a
+:class:`~qcoex.bloch.BlochEffect`'s ``avec``, is a tuple of three floats.
+The check forms the four outcome vectors on floats and makes one (4, 3)
+array for the residuals and one stack of 2x2 complex matrices for a single
+``eigvalsh``; :func:`assemble_observable` forms the outcomes on floats too.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,21 +52,22 @@ class WitnessError(RuntimeError):
 class Witness:
     """First outcome of a joint observable, as (gamma, gvec).
 
-    Satisfies 0 <= ||gvec|| <= gamma <= 2 - ||gvec|| whenever it passes
+    ``gamma`` is stored as a float and ``gvec`` as a tuple of three floats,
+    as in :class:`~qcoex.bloch.BlochEffect`.  Satisfies
+    0 <= ||gvec|| <= gamma <= 2 - ||gvec|| whenever it passes
     :func:`operator_inequalities_hold` for a valid pair.  A witness from
     :func:`find_witness` also records the effects it was checked against and
     the report that admitted it; the record is not part of repr or equality.
     """
 
     gamma: float
-    gvec: np.ndarray
+    gvec: tuple[float, float, float]
     _admitted: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vec = np.array(self.gvec, dtype=float).reshape(3)
-        vec.setflags(write=False)
+        x, y, z = self.gvec
         object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "gvec", vec)
+        object.__setattr__(self, "gvec", (float(x), float(y), float(z)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +111,7 @@ def operator_inequalities_hold(A: BlochEffect, B: BlochEffect, wt: Witness) -> I
     of the four 2x2 matrices, built from their 16 entries.
     """
     gamma = wt.gamma
-    gx, gy, gz = wt.gvec.tolist()
-    ax, ay, az = A.avec.tolist()
-    bx, by, bz = B.avec.tolist()
+    (gx, gy, gz), (ax, ay, az), (bx, by, bz) = wt.gvec, A.avec, B.avec
     traces = (gamma, A.alpha - gamma, B.alpha - gamma, 2.0 + gamma - A.alpha - B.alpha)
     shared = [(gx, gy, gz), (ax - gx, ay - gy, az - gz), (bx - gx, by - gy, bz - gz)]
     # the last outcome's vector is (a + b) - g in its residual and (g - a) - b
@@ -161,13 +163,15 @@ def gamma_interval_2ci(p: RelativePair) -> tuple[float, float] | None:
 
 
 def _commuting_witness(p: RelativePair) -> tuple[float, float, float]:
-    # product of two commuting effects as the first outcome
+    # product of two commuting effects as the first outcome: the witness of
+    # the by = 0 partner, from alpha, a, beta and bx only
     gamma = 0.5 * (p.alpha * p.beta + p.a * p.bx)
     gx = 0.5 * (p.alpha * p.bx + p.beta * p.a)
     return gamma, gx, 0.0
 
 
 def _full_length_witness(p: RelativePair) -> tuple[float, float, float]:
+    # reads by as well (through p.by and p.b), so p is the pair at the top
     # G1 = gamma (1 + b.sigma / beta) / 2 makes G1 >= 0 and G1 <= B tight at
     # full length; gamma gives G1 <= A and 1 + G1 >= A + B equal slack in
     # |centre distance|^2 - radius^2.  That point lies in gamma_interval_2ci
@@ -185,7 +189,8 @@ def _full_length_witness(p: RelativePair) -> tuple[float, float, float]:
 
 
 def _curve_witness(p: RelativePair) -> tuple[float, float, float]:
-    # coincident circle-crossing point on the restricted boundary
+    # coincident circle-crossing point on the restricted boundary; it reads
+    # alpha, a, beta and bx only, so it is the witness at by = by_max
     gamma = 0.5 * (p.a * p.bx + p.alpha * p.beta - 2.0 * (1.0 - p.alpha) * (1.0 - p.beta))
     gx = (p.alpha * (2.0 * gamma - p.alpha) + p.a * p.a) / (2.0 * p.a)
     # gamma - gx = (alpha - a)(alpha + a - 2 gamma) / (2a), with alpha + a - 2 gamma
@@ -209,14 +214,14 @@ def _closed_form(p: RelativePair, verdict: Verdict) -> tuple[float, float, float
     Every constraint is linear in (G1, A, B) jointly, so mixing the witnesses
     of the top pair and of its by = 0 partner gives one for the pair between.
     """
+    partner = _commuting_witness(p)
     if p.a == 0.0 or p.by == 0.0:
-        return _commuting_witness(p)
-    partner = _commuting_witness(RelativePair(p.alpha, p.a, p.beta, p.bx, 0.0))
+        return partner
     if verdict.regime == C3:
         top = verdict.by_max
         if top <= 0.0:
             return partner
-        candidate = _curve_witness(RelativePair(p.alpha, p.a, p.beta, p.bx, top))
+        candidate = _curve_witness(p)
     else:
         # a pair above the circle by roundoff is its own top
         top = max(math.sqrt(max((p.beta - p.bx) * (p.beta + p.bx), 0.0)), p.by)
@@ -238,7 +243,7 @@ def _any_unit_perpendicular(u: list[float]) -> list[float]:
     return [x / n for x in v]
 
 
-def _rescaled(v: list[float]) -> tuple[list[float], float]:
+def _rescaled(v: Sequence[float]) -> tuple[Sequence[float], float]:
     """v and its length, v first scaled by a power of two to a length in [0.5, 1) when shorter than SHORT_LENGTH.
 
     The scaling is exact, and it keeps the digits of a direction whose
@@ -252,7 +257,7 @@ def _rescaled(v: list[float]) -> tuple[list[float], float]:
     return v, n
 
 
-def _plane_basis(avec: list[float], bvec: list[float]) -> tuple[list[float], list[float]]:
+def _plane_basis(avec: Sequence[float], bvec: Sequence[float]) -> tuple[list[float], list[float]]:
     """Orthonormal basis of the span of the two Bloch vectors."""
     avec, a = _rescaled(avec)
     bvec, b = _rescaled(bvec)
@@ -299,9 +304,8 @@ def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
         return None
     # a complement (2 - alpha, -avec) only negates the vector, exactly, so
     # none is built; pair.alpha is the trace coefficient of A or of 1 - A
-    avec, bvec = A.avec.tolist(), B.avec.tolist()
-    a_eff = [-x for x in avec] if report.complemented_a else avec
-    b_eff = [-x for x in bvec] if report.complemented_b else bvec
+    a_eff = [-x for x in A.avec] if report.complemented_a else A.avec
+    b_eff = [-x for x in B.avec] if report.complemented_b else B.avec
     e1, e2 = _plane_basis(a_eff, b_eff)
     g, gx, gy = _closed_form(pair, verdict)
     v = [gx * x + gy * y for x, y in zip(e1, e2)]
@@ -310,7 +314,7 @@ def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
         g, v = pair.alpha - g, [x - y for x, y in zip(a_eff, v)]
     if report.complemented_a:
         # swap outcomes (1,3) and (2,4): new first outcome is B - G1
-        g, v = B.alpha - g, [x - y for x, y in zip(bvec, v)]
+        g, v = B.alpha - g, [x - y for x, y in zip(B.avec, v)]
     wt = Witness(g, v)
     check = operator_inequalities_hold(A, B, wt)
     if not check.holds:
@@ -343,10 +347,10 @@ def assemble_observable(A: BlochEffect, B: BlochEffect, wt: Witness) -> WitnessO
         raise ValueError(
             f"witness fails the operator constraints: residuals={report.residuals}"
         )
-    g1 = BlochEffect(wt.gamma, wt.gvec)
-    g2 = BlochEffect(A.alpha - wt.gamma, A.avec - wt.gvec)
-    g3 = BlochEffect(B.alpha - wt.gamma, B.avec - wt.gvec)
-    g4 = BlochEffect(
-        2.0 - A.alpha - B.alpha + wt.gamma, wt.gvec - A.avec - B.avec
-    )
+    gamma = wt.gamma
+    (gx, gy, gz), (ax, ay, az), (bx, by, bz) = wt.gvec, A.avec, B.avec
+    g1 = BlochEffect(gamma, wt.gvec)
+    g2 = BlochEffect(A.alpha - gamma, (ax - gx, ay - gy, az - gz))
+    g3 = BlochEffect(B.alpha - gamma, (bx - gx, by - gy, bz - gz))
+    g4 = BlochEffect(2.0 - A.alpha - B.alpha + gamma, (gx - ax - bx, gy - ay - by, gz - az - bz))
     return WitnessObservable(g1, g2, g3, g4, report)

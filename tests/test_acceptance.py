@@ -106,9 +106,12 @@ def test_criterion_4_witness_completeness():
         assert wt is not None
         obs = assemble_observable(A, B, wt)
         g1, g2, g3, g4 = obs.effects()
+        # Bloch vectors are tuples, which + would concatenate
+        v1, v2, v3, v4 = (np.asarray(g.avec) for g in obs.effects())
+        a, b = np.asarray(A.avec), np.asarray(B.avec)
         # completeness: the four outcomes sum to the identity within 1e-12
         assert abs((g1.alpha + g2.alpha + g3.alpha + g4.alpha) - 2.0) <= 1e-12
-        assert np.abs(g1.avec + g2.avec + g3.avec + g4.avec).max() <= 1e-12
+        assert np.abs(v1 + v2 + v3 + v4).max() <= 1e-12
         # positivity of every outcome within 1e-9, boundedness likewise
         for g in obs.effects():
             evals = np.linalg.eigvalsh(effect_to_matrix(g))
@@ -116,9 +119,9 @@ def test_criterion_4_witness_completeness():
             assert evals[-1] <= 1.0 + 1e-9
         # marginals reproduce the inputs
         assert abs((g1.alpha + g2.alpha) - A.alpha) <= 1e-12
-        assert np.abs(g1.avec + g2.avec - A.avec).max() <= 1e-12
+        assert np.abs(v1 + v2 - a).max() <= 1e-12
         assert abs((g1.alpha + g3.alpha) - B.alpha) <= 1e-12
-        assert np.abs(g1.avec + g3.avec - B.avec).max() <= 1e-12
+        assert np.abs(v1 + v3 - b).max() <= 1e-12
     _report(4, "witness construction complete on 1000 coexistent pairs")
 
 

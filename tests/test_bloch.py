@@ -43,6 +43,13 @@ def valid_effects():
     return st.builds(build, alpha, unit, unit, unit)
 
 
+def assert_float_triple(vec):
+    """A stored Bloch vector: a tuple of exactly three Python floats."""
+    assert type(vec) is tuple
+    assert len(vec) == 3
+    assert all(type(x) is float for x in vec)
+
+
 class TestEffectFromBloch:
     def test_projection_is_valid(self):
         e = effect_from_bloch(1.0, (0.0, 0.0, 1.0))
@@ -94,7 +101,16 @@ class TestEffectFromBloch:
     )
     def test_real_vectors_accepted(self, avec):
         e = effect_from_bloch(1.0, avec)
-        assert e.avec.tolist() == [float(x) for x in avec]
+        assert list(e.avec) == [float(x) for x in avec]
+        assert type(e.alpha) is float
+        assert_float_triple(e.avec)
+        assert_float_triple(complement(e).avec)
+
+    def test_rotated_array_stored_as_floats(self):
+        rot = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+        e = BlochEffect(np.float64(0.7), rot @ np.asarray((0.2, 0.3, 0.1)))
+        assert type(e.alpha) is float
+        assert_float_triple(e.avec)
 
     def test_number_too_large_for_a_float_rejected(self):
         with pytest.raises(InvalidEffectError, match="finite"):
@@ -125,7 +141,7 @@ class TestMatrixConversion:
             e = BlochEffect(alpha, v)
             back = effect_from_matrix(effect_to_matrix(e))
             assert abs(back.alpha - e.alpha) < 1e-12
-            assert np.abs(back.avec - e.avec).max() < 1e-12
+            assert np.abs(np.asarray(back.avec) - np.asarray(e.avec)).max() < 1e-12
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvalidEffectError, match="Hermitian"):
@@ -158,7 +174,7 @@ class TestMatrixConversion:
     def test_nested_lists_of_numbers_accepted(self):
         e = effect_from_matrix([[0.3 + 0j, 0.25], [0.25, 0.3]])
         assert e.alpha == pytest.approx(0.6, abs=1e-15)
-        assert e.avec.tolist() == pytest.approx([0.5, 0.0, 0.0], abs=1e-15)
+        assert list(e.avec) == pytest.approx([0.5, 0.0, 0.0], abs=1e-15)
 
 
 class TestComplement:

@@ -362,6 +362,17 @@ class TestSharpnessCommand:
         payload = json.loads(out)
         assert payload["sharpness"] == pytest.approx(0.3281475155779856, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "entry,message",
+        [(1.5, "eigenvalue 1.5 above 1"), (-0.5, "eigenvalue -0.5 below 0")],
+    )
+    def test_eigenvalue_out_of_bounds_message(self, capsys, entry, message):
+        spec = json.dumps({"matrix": [[entry, 0], [0, 0], [0, 0], [0, 0]]})
+        code, out, err = run(capsys, ["sharpness", spec])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: effect: field 'matrix': {message}\n"
+
 
 class TestSelftest:
     def test_small_run_passes(self, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import reference as ref
 from hypothesis import given, settings
-from test_bloch import valid_effects
+from test_bloch import assert_float_triple, valid_effects
 
 from qcoex.bloch import (
     BlochEffect,
@@ -112,19 +112,19 @@ def near_tip_pairs():
 def per_outcome_check(A, B, wt):
     """Residuals and minimum eigenvalues one outcome at a time: a norm and a
     2x2 matrix with its own eigvalsh call per outcome."""
-    g = wt.gvec
+    g, a, b = np.asarray(wt.gvec), np.asarray(A.avec), np.asarray(B.avec)
     gamma = wt.gamma
     residuals = (
         float(np.linalg.norm(g)) - gamma,
-        float(np.linalg.norm(A.avec - g)) - (A.alpha - gamma),
-        float(np.linalg.norm(B.avec - g)) - (B.alpha - gamma),
-        float(np.linalg.norm(A.avec + B.avec - g)) - (2.0 + gamma - A.alpha - B.alpha),
+        float(np.linalg.norm(a - g)) - (A.alpha - gamma),
+        float(np.linalg.norm(b - g)) - (B.alpha - gamma),
+        float(np.linalg.norm(a + b - g)) - (2.0 + gamma - A.alpha - B.alpha),
     )
     operators = (
         BlochEffect(gamma, g),
-        BlochEffect(A.alpha - gamma, A.avec - g),
-        BlochEffect(B.alpha - gamma, B.avec - g),
-        BlochEffect(2.0 + gamma - A.alpha - B.alpha, g - A.avec - B.avec),
+        BlochEffect(A.alpha - gamma, a - g),
+        BlochEffect(B.alpha - gamma, b - g),
+        BlochEffect(2.0 + gamma - A.alpha - B.alpha, g - a - b),
     )
     eigenvalues = tuple(float(np.linalg.eigvalsh(effect_to_matrix(op))[0]) for op in operators)
     return residuals, eigenvalues
@@ -132,12 +132,12 @@ def per_outcome_check(A, B, wt):
 
 def pushed_off(A, B, wt, k):
     """The witness with gamma moved so that constraint k fails by 1e-6."""
-    g = wt.gvec
+    g, a, b = np.asarray(wt.gvec), np.asarray(A.avec), np.asarray(B.avec)
     gamma = (
         float(np.linalg.norm(g)) - 1e-6,
-        A.alpha - float(np.linalg.norm(A.avec - g)) + 1e-6,
-        B.alpha - float(np.linalg.norm(B.avec - g)) + 1e-6,
-        float(np.linalg.norm(A.avec + B.avec - g)) - 2.0 + A.alpha + B.alpha - 1e-6,
+        A.alpha - float(np.linalg.norm(a - g)) + 1e-6,
+        B.alpha - float(np.linalg.norm(b - g)) + 1e-6,
+        float(np.linalg.norm(a + b - g)) - 2.0 + A.alpha + B.alpha - 1e-6,
     )[k]
     return Witness(gamma, g)
 
@@ -156,7 +156,7 @@ def mapped_back(outcome, E):
     if not isinstance(outcome, tuple):
         return outcome
     gamma, gvec = outcome
-    return (E.alpha - gamma, E.avec - gvec)
+    return (E.alpha - gamma, np.asarray(E.avec) - np.asarray(gvec))
 
 
 def assert_same_outcome(found, expected):
@@ -351,9 +351,9 @@ class TestFindWitness:
             A, B = random_effect_pair(rng)
             # push one or both trace coefficients above 1
             if rng.random() < 0.5:
-                A = BlochEffect(2.0 - A.alpha, -A.avec)
+                A = BlochEffect(2.0 - A.alpha, -np.asarray(A.avec))
             if rng.random() < 0.5:
-                B = BlochEffect(2.0 - B.alpha, -B.avec)
+                B = BlochEffect(2.0 - B.alpha, -np.asarray(B.avec))
             wt = find_witness(A, B)
             if wt is None:
                 continue
@@ -555,3 +555,24 @@ class TestAssembleObservable:
         A, B = sic_pair()
         wt = find_witness(A, B)
         assert repr(wt) == repr(Witness(wt.gamma, wt.gvec))
+
+
+class TestVectorsAreFloatTriples:
+    """A witness and its outcomes store their vectors as tuples of three floats."""
+
+    def test_witness_and_its_outcomes(self):
+        C, D = commuting_pair()
+        for A, B in (sic_pair(), on_curve_pair(), (complement(C), D)):
+            wt = find_witness(A, B)
+            assert type(wt.gamma) is float
+            assert_float_triple(wt.gvec)
+            for g in assemble_observable(A, B, wt).effects():
+                assert type(g.alpha) is float
+                assert_float_triple(g.avec)
+
+    def test_hand_built_witness(self):
+        wt = Witness(np.float32(0.5), np.array([0.25, 0, 0.125], np.float32))
+        assert type(wt.gamma) is float
+        assert wt.gvec == (0.25, 0.0, 0.125)
+        assert_float_triple(wt.gvec)
+        assert_float_triple(Witness(1, [0, 0, 1]).gvec)
