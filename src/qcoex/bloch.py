@@ -39,11 +39,18 @@ __all__ = [
 SHORT_LENGTH = math.sqrt(sys.float_info.min / sys.float_info.epsilon)
 
 
+def _scaled(v, n: float) -> tuple[tuple[float, ...], float, int]:
+    """v, of length n, times the 2**k that puts its length in [0.5, 1); that length; k."""
+    k = -math.frexp(n)[1]
+    w = tuple([math.ldexp(x, k) for x in v])
+    return w, math.hypot(*w), k
+
+
 class InvalidEffectError(ValueError):
     """Raised when parameters or a matrix do not describe a qubit effect."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BlochEffect:
     """Qubit effect (alpha * I + avec . sigma) / 2.
 
@@ -51,7 +58,8 @@ class BlochEffect:
     :func:`effect_from_matrix` when the input needs validation.  ``alpha``
     is stored as a float and ``avec`` as a tuple of three floats, whatever
     real sequence of length 3 (an array included) was passed; array
-    arithmetic on it needs ``np.asarray(e.avec)``.
+    arithmetic on it needs ``np.asarray(e.avec)``.  Effects compare by value
+    and are hashable.
     """
 
     alpha: float
@@ -131,6 +139,10 @@ def effect_from_matrix(m) -> BlochEffect:
     The matrix must be Hermitian and have eigenvalues in [0, 1], both
     within ``MATRIX_TOL``.  Round trip with
     :func:`effect_to_matrix` is the identity to better than 1e-12 per entry.
+    An admitted matrix whose expansion breaks ||avec|| <= alpha <= 2 - ||avec||
+    by more than ``DOMAIN_TOL`` has its eigenvalues (alpha +- ||avec||) / 2
+    projected into [0, 1]: the Bloch direction is kept, alpha becomes their
+    sum and ||avec|| their difference.
 
     Raises:
         InvalidEffectError: for a ragged or non-numeric matrix, another shape,
@@ -163,7 +175,14 @@ def effect_from_matrix(m) -> BlochEffect:
     ax = float((h[0, 1] + h[1, 0]).real)
     ay = float((h[1, 0] - h[0, 1]).imag)
     az = float((h[0, 0] - h[1, 1]).real)
-    return BlochEffect(alpha, (ax, ay, az))
+    effect = BlochEffect(alpha, (ax, ay, az))
+    a = effect.a
+    if a - DOMAIN_TOL <= alpha <= 2.0 - a + DOMAIN_TOL:
+        return effect
+    lo = min(max(0.5 * (alpha - a), 0.0), 1.0)
+    hi = min(max(0.5 * (alpha + a), 0.0), 1.0)
+    scale = (hi - lo) / a if a > 0.0 else 0.0
+    return BlochEffect(lo + hi, (ax * scale, ay * scale, az * scale))
 
 
 def sharpness_scalar(alpha: float, a: float) -> float:
@@ -256,10 +275,8 @@ def relative_pair(A: BlochEffect, B: BlochEffect) -> tuple[RelativePair, Reducti
     if a > 0.0:
         u, kb = a, 0
         if a < SHORT_LENGTH or b < SHORT_LENGTH:
-            ka, kb = -math.frexp(a)[1], -math.frexp(b)[1]
-            ax, ay, az = math.ldexp(ax, ka), math.ldexp(ay, ka), math.ldexp(az, ka)
-            qx, qy, qz = math.ldexp(qx, kb), math.ldexp(qy, kb), math.ldexp(qz, kb)
-            u = math.hypot(ax, ay, az)
+            (ax, ay, az), u, _ = _scaled((ax, ay, az), a)
+            (qx, qy, qz), _, kb = _scaled((qx, qy, qz), b)
         bx = (ax * qx + ay * qy + az * qz) / u
         # ||a x b|| / a keeps its digits for nearly parallel vectors, where
         # sqrt(b^2 - bx^2) cancels to 0

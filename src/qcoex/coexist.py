@@ -99,28 +99,27 @@ def _tip_gap(alpha: float, a: float, beta: float, b0: float, w: float, side: flo
     )
 
 
-def _root(q: float) -> float:
-    if q < -ROOT_TOL:
-        raise ArithmeticError(f"square-root argument out of range: {q!r}")
-    return math.sqrt(max(q, 0.0))
-
-
-def _root_array(q: np.ndarray) -> np.ndarray:
+def _root(q):
+    """Root of a cap radicand, a float (math) or an array (numpy); 0 down to -ROOT_TOL, below it raises."""
+    if isinstance(q, float):
+        if q < -ROOT_TOL:
+            raise ArithmeticError(f"square-root argument out of range: {q!r}")
+        return math.sqrt(max(q, 0.0))
     if np.any(q < -ROOT_TOL):
         raise ArithmeticError(f"square-root argument out of range: {q.min()!r}")
     return np.sqrt(np.maximum(q, 0.0))
 
 
-def _cap(alpha: float, a: float, beta: float, bx, b0: float, root=_root):
+def _cap(alpha: float, a: float, beta: float, bx, b0: float):
     """Largest allowed by at direction component bx, with b0 from _interval.
 
-    ``bx`` is a float (``root=_root``, on math) or an array
-    (``root=_root_array``, on numpy).
+    ``bx`` is a float, for classify and by_max, or an array, for
+    boundary_curve; the result has the same type.
     """
     t = a * (bx - b0)
     q1 = ((2.0 - alpha) ** 2 - a * a) * (a * a - (t + (1.0 - beta)) ** 2)
     q2 = (alpha * alpha - a * a) * (a * a - (t - (1.0 - beta)) ** 2)
-    return (root(q1) + root(q2)) / (2.0 * a)
+    return (_root(q1) + _root(q2)) / (2.0 * a)
 
 
 def classify(p: RelativePair) -> Verdict:
@@ -257,7 +256,7 @@ def boundary_curve(
             lo, hi = int(capped[0]), int(capped[-1]) + 1
     rs = np.full(xs.shape, float(beta))
     if hi > lo:
-        rs[lo:hi] = np.hypot(xs[lo:hi], _cap(alpha, a, beta, xs[lo:hi], b0, _root_array))
+        rs[lo:hi] = np.hypot(xs[lo:hi], _cap(alpha, a, beta, xs[lo:hi], b0))
     tags = (ARC_CIRCLE,) * lo + (ARC_CURVE,) * (hi - lo) + (ARC_CIRCLE,) * (xs.size - hi)
     rs.setflags(write=False)
     xs.setflags(write=False)

@@ -222,7 +222,7 @@ def suite_oracle_agreement(n: int, seed: int, grid: int = DEFAULT_GRID) -> Suite
     return SuiteResult("oracle-agreement", checked, violations, skipped, worst)
 
 
-def run_all(n: int, seed: int, oracle_grid: int = 2000) -> list[SuiteResult]:
+def run_all(n: int, seed: int, oracle_grid: int) -> list[SuiteResult]:
     """All suites with per-suite seeds derived deterministically from ``seed``."""
     return [
         suite_complement_invariance(n, seed),

@@ -7,10 +7,10 @@ trace coefficient of the joint observable's first outcome.
 """
 
 # Effect parameters: how far alpha may pass ||avec|| or 2 - ||avec|| and
-# still be admitted, how far beta, a, bx or alpha may sit from the edge of
-# a domain (by_max, boundary_curve, the special cases), and how far a
-# sharpness may fall outside [0, 1] before it is clamped.  Trace-coefficient
-# units.
+# still be admitted, how far beta, a, bx, alpha or ||b|| may sit from the
+# edge of a domain (by_max, boundary_curve, the special cases,
+# gamma_interval_2ci's b = beta), and how far a sharpness may fall outside
+# [0, 1] before it is clamped.  Trace-coefficient units.
 DOMAIN_TOL = 1e-12
 
 # Matrix input: largest |M - M^dagger| entry and largest eigenvalue below 0
@@ -48,9 +48,6 @@ DEGENERATE_TOL = 1e-14
 # negative eigenvalue an outcome of the joint observable may have.
 # Trace-coefficient and operator units.
 PSD_TOL = 1e-9
-
-# gamma_interval_2ci's domain: how far ||b|| may sit from beta.  Length units.
-FULL_LENGTH_TOL = 1e-9
 
 # Oracle search: bracket width at which the feasible gamma interval's
 # edges are taken as found.  Gamma units.

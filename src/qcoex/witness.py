@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import SHORT_LENGTH, BlochEffect, RelativePair, relative_pair
+from .bloch import SHORT_LENGTH, BlochEffect, RelativePair, _scaled, relative_pair
 from .coexist import C3, Verdict, classify
-from .tolerance import BOUNDARY_TOL, FULL_LENGTH_TOL, PSD_TOL
+from .tolerance import BOUNDARY_TOL, DOMAIN_TOL, PSD_TOL
 
 __all__ = [
     "InequalityReport",
@@ -48,16 +48,17 @@ class WitnessError(RuntimeError):
     """Raised when a pair classified coexistent gets no valid witness."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Witness:
     """First outcome of a joint observable, as (gamma, gvec).
 
     ``gamma`` is stored as a float and ``gvec`` as a tuple of three floats,
     as in :class:`~qcoex.bloch.BlochEffect`.  Satisfies
     0 <= ||gvec|| <= gamma <= 2 - ||gvec|| whenever it passes
-    :func:`operator_inequalities_hold` for a valid pair.  A witness from
-    :func:`find_witness` also records the effects it was checked against and
-    the report that admitted it; the record is not part of repr or equality.
+    :func:`operator_inequalities_hold` for a valid pair.  Witnesses compare
+    by value and are hashable.  A witness from :func:`find_witness` also
+    records the effects it was checked against and the report that admitted
+    it; the record is not part of repr, equality or hash.
     """
 
     gamma: float
@@ -70,11 +71,12 @@ class Witness:
         object.__setattr__(self, "gvec", (float(x), float(y), float(z)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WitnessObservable:
     """Four effects with G1 + G2 = A, G1 + G3 = B and total sum the identity.
 
     ``report`` is the check of the operator constraints that admitted G1.
+    Observables compare by value and are hashable.
     """
 
     g1: BlochEffect
@@ -131,7 +133,8 @@ def operator_inequalities_hold(A: BlochEffect, B: BlochEffect, wt: Witness) -> I
 def gamma_interval_2ci(p: RelativePair) -> tuple[float, float] | None:
     """Admissible gamma interval for pairs whose second vector has full length.
 
-    Requires b = beta (the second vector at its maximal length).  Returns
+    Requires b = beta (the second vector at its maximal length) to within
+    ``DOMAIN_TOL``.  Returns
     [max(gamma_lo, 0), min(gamma_hi, min(alpha, beta))] when nonempty, None
     when the pair is not coexistent at full length.
 
@@ -140,7 +143,7 @@ def gamma_interval_2ci(p: RelativePair) -> tuple[float, float] | None:
             b parallel to a = alpha, or antiparallel sharp projections.
     """
     b = p.b
-    if abs(b - p.beta) > FULL_LENGTH_TOL:
+    if abs(b - p.beta) > DOMAIN_TOL:
         raise ValueError(f"requires ||b|| = beta: got b={b!r}, beta={p.beta!r}")
     # alpha beta - a bx as a sum of terms that keep their digits when b is
     # nearly parallel to a = alpha
@@ -170,22 +173,23 @@ def _commuting_witness(p: RelativePair) -> tuple[float, float, float]:
     return gamma, gx, 0.0
 
 
-def _full_length_witness(p: RelativePair) -> tuple[float, float, float]:
-    # reads by as well (through p.by and p.b), so p is the pair at the top
-    # G1 = gamma (1 + b.sigma / beta) / 2 makes G1 >= 0 and G1 <= B tight at
-    # full length; gamma gives G1 <= A and 1 + G1 >= A + B equal slack in
-    # |centre distance|^2 - radius^2.  That point lies in gamma_interval_2ci
-    # when the interval is nonempty, and it needs no division, so it keeps
-    # its digits where the interval's bounds do not (b nearly parallel to a)
+def _full_length_witness(p: RelativePair, by: float) -> tuple[float, float, float]:
+    # witness of the pair moved to (bx, by) on the circle; of p it reads
+    # alpha, a, beta and bx only.  G1 = gamma (1 + b.sigma / beta) / 2 makes
+    # G1 >= 0 and G1 <= B tight at full length; gamma gives G1 <= A and
+    # 1 + G1 >= A + B equal slack in |centre distance|^2 - radius^2.  That
+    # point lies in gamma_interval_2ci when the interval is nonempty, and it
+    # needs no division, so it keeps its digits where the interval's bounds
+    # do not (b nearly parallel to a)
     gamma = 0.25 * (
         (p.alpha - p.a) * (p.alpha + p.a)
         + (p.a + p.bx) ** 2
-        + p.by * p.by
+        + by * by
         - (2.0 - p.alpha - p.beta) ** 2
     )
     gamma = min(max(gamma, 0.0), p.alpha, p.beta)
-    b = p.b
-    return gamma, gamma * p.bx / b, gamma * p.by / b
+    b = math.hypot(p.bx, by)
+    return gamma, gamma * p.bx / b, gamma * by / b
 
 
 def _curve_witness(p: RelativePair) -> tuple[float, float, float]:
@@ -225,7 +229,7 @@ def _closed_form(p: RelativePair, verdict: Verdict) -> tuple[float, float, float
     else:
         # a pair above the circle by roundoff is its own top
         top = max(math.sqrt(max((p.beta - p.bx) * (p.beta + p.bx), 0.0)), p.by)
-        candidate = _full_length_witness(RelativePair(p.alpha, p.a, p.beta, p.bx, top))
+        candidate = _full_length_witness(p, top)
     return _mix(candidate, partner, min(p.by / top, 1.0))
 
 
@@ -243,24 +247,14 @@ def _any_unit_perpendicular(u: list[float]) -> list[float]:
     return [x / n for x in v]
 
 
-def _rescaled(v: Sequence[float]) -> tuple[Sequence[float], float]:
-    """v and its length, v first scaled by a power of two to a length in [0.5, 1) when shorter than SHORT_LENGTH.
-
-    The scaling is exact, and it keeps the digits of a direction whose
-    components or products would fall below the normal range.
-    """
-    n = math.hypot(*v)
-    if 0.0 < n < SHORT_LENGTH:
-        k = -math.frexp(n)[1]
-        v = [math.ldexp(x, k) for x in v]
-        n = math.hypot(*v)
-    return v, n
-
-
 def _plane_basis(avec: Sequence[float], bvec: Sequence[float]) -> tuple[list[float], list[float]]:
     """Orthonormal basis of the span of the two Bloch vectors."""
-    avec, a = _rescaled(avec)
-    bvec, b = _rescaled(bvec)
+    # a short vector is scaled first, so that its direction keeps its digits
+    a, b = math.hypot(*avec), math.hypot(*bvec)
+    if a < SHORT_LENGTH:
+        avec, a, _ = _scaled(avec, a)
+    if b < SHORT_LENGTH:
+        bvec, b, _ = _scaled(bvec, b)
     if a > 0.0:
         e1 = [x / a for x in avec]
     else:

@@ -176,6 +176,45 @@ class TestMatrixConversion:
         assert e.alpha == pytest.approx(0.6, abs=1e-15)
         assert list(e.avec) == pytest.approx([0.5, 0.0, 0.0], abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "eigenvalues,direction,alpha,a",
+        [
+            ((-5e-11, 0.5), (0.6, 0.0, -0.8), 0.5, 0.5),
+            ((0.3, 1.00000000009), (0.0, 0.0, 1.0), 1.3, 0.7),
+            ((-9e-11, 1.0), (0.0, -1.0, 0.0), 1.0, 1.0),
+            ((-5e-11, -5e-11), (1.0, 0.0, 0.0), 0.0, 0.0),
+        ],
+    )
+    def test_admitted_eigenvalues_are_projected_into_the_unit_interval(self, eigenvalues, direction, alpha, a):
+        # eigenvalues within MATRIX_TOL of [0, 1] give a Pauli expansion past
+        # ||avec|| <= alpha <= 2 - ||avec|| by more than DOMAIN_TOL
+        lo, hi = eigenvalues
+        m = effect_to_matrix(BlochEffect(lo + hi, [(hi - lo) * x for x in direction]))
+        e = effect_from_matrix(m)
+        assert (e.alpha, e.a) == pytest.approx((alpha, a), abs=1e-15)
+        if a > 0.0:
+            assert [x / e.a for x in e.avec] == pytest.approx(direction, abs=1e-15)
+        assert effect_from_bloch(e.alpha, e.avec) == e
+        assert 0.0 <= sharpness(e) <= 1.0
+
+    def test_expansion_within_the_bloch_bound_is_kept_as_it_is(self):
+        # 8e-13 past ||avec|| <= alpha, inside DOMAIN_TOL
+        e = effect_from_matrix(np.diag([-4e-13, 0.5]))
+        assert e == BlochEffect(0.5 - 4e-13, (0.0, 0.0, -4e-13 - 0.5))
+
+
+class TestValueEquality:
+    def test_equal_values_are_equal_and_hash_alike(self):
+        listed = BlochEffect(0.6, [0.5, 0.0, 0.1])
+        arrayed = BlochEffect(np.float64(0.6), np.array([0.5, 0.0, 0.1]))
+        assert listed == arrayed
+        assert hash(listed) == hash(arrayed)
+        assert listed != BlochEffect(0.6, [0.5, 0.0, -0.1])
+
+    def test_equal_values_make_one_set_member(self):
+        effects = {effect_from_bloch(0.6, (0.5, 0.0, 0.0)), effect_from_bloch(0.6, [0.5, 0.0, 0.0])}
+        assert len(effects) == 1
+
 
 class TestComplement:
     def test_projection(self):

@@ -373,6 +373,26 @@ class TestSharpnessCommand:
         assert out == ""
         assert err == f"error: effect: field 'matrix': {message}\n"
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            "[[-5e-11,0],[0,0],[0,0],[0.5,0]]",
+            "[[1.00000000009,0],[0,0],[0,0],[0.3,0]]",
+            "[[-9e-11,0],[0,0],[0,0],[1,0]]",
+        ],
+    )
+    def test_admitted_matrix_past_the_bloch_bound(self, capsys, matrix):
+        # eigenvalues within MATRIX_TOL of [0, 1] whose Pauli expansion breaks
+        # ||a|| <= alpha <= 2 - ||a|| by more than DOMAIN_TOL
+        spec = '{"matrix": %s}' % matrix
+        code, out, err = run(capsys, ["sharpness", spec])
+        assert (code, err) == (EXIT_OK, "")
+        assert 0.0 <= json.loads(out)["sharpness"] <= 1.0
+        code, out, err = run(capsys, ["decide", spec, FIG_B, "--witness"])
+        assert code in (EXIT_OK, EXIT_NEGATIVE)
+        assert err == ""
+        assert 0.0 <= json.loads(out)["sharpnessA"] <= 1.0
+
 
 class TestSelftest:
     def test_small_run_passes(self, capsys):

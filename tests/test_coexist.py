@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from qcoex.bloch import RelativePair, effect_from_bloch, relative_pair
 from qcoex.coexist import (
     ARC_CIRCLE,
@@ -15,6 +16,7 @@ from qcoex.coexist import (
     C2,
     C3,
     TRIVIAL_PARALLEL,
+    _interval,
     boundary_curve,
     by_max,
     classify,
@@ -27,6 +29,10 @@ from qcoex.selftest import random_effect_pair
 S_06_05 = 0.3281475155779856
 LIU_06_05 = 0.8196660810488711
 SQRT3_INV = 1.0 / math.sqrt(3.0)
+# (alpha, a, beta) of sharp first effects just past the C1 threshold, where
+# the interval's discriminant is the perfect square (beta - (1 - alpha))^2
+# but is formed by subtraction
+NEAR_THRESHOLD = [(0.6, 0.6, 0.400000001), (0.6041176261592162, 0.6041176261592162, 0.3958823740713945)]
 
 
 def canonical_pairs():
@@ -244,6 +250,28 @@ class TestByMax:
         with pytest.raises(ValueError, match=message):
             by_max(*args)
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="the interval's discriminant loses its digits near the C1 threshold"
+    )
+    @pytest.mark.parametrize("alpha,a,beta", NEAR_THRESHOLD)
+    def test_half_width_near_the_c1_threshold(self, alpha, a, beta):
+        # the reference gives 1.6667e-9 and 3.8173e-10; the subtraction gives 0 and 1.2333e-8
+        _, w = _interval(alpha, a, beta)
+        assert abs(w - float(reference.restricted_interval(alpha, a, beta)[1])) <= 1e-15
+
+    @pytest.mark.xfail(
+        strict=True, raises=ArithmeticError, reason="the interval's discriminant loses its digits near the C1 threshold"
+    )
+    def test_value_or_value_error_at_the_computed_edges(self):
+        # past the true edge b0 + w the cap's radicand reads -1.38e-8
+        alpha, a, beta = NEAR_THRESHOLD[1]
+        b0, w = _interval(alpha, a, beta)
+        for bx in (b0 - w, b0 + w):
+            try:
+                assert by_max(alpha, a, beta, bx) >= 0.0
+            except ValueError:
+                pass
+
     def test_strictly_inside_circle(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -353,6 +381,12 @@ class TestBoundaryCurve:
             assert np.all(np.abs(curve.r[curve_r] - rs[curve_r]) <= 1e-15 * rs[curve_r])
             junction_curves += xs.size > n
         assert junction_curves > 0
+
+    def test_compares_by_identity(self):
+        # its fields are arrays, whose == is elementwise
+        curve = boundary_curve(0.6, 0.5, 0.9, n_samples=16)
+        assert curve == curve
+        assert curve != boundary_curve(0.6, 0.5, 0.9, n_samples=16)
 
     def test_curve_needs_no_scalar_by_max(self, monkeypatch):
         def no_scalar_cap(*args):

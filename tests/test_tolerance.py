@@ -3,12 +3,14 @@ shared value is pinned at its edge, 0.9 of it admitted and 1.1 of it not."""
 
 import ast
 import math
+import re
 import tokenize
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qcoex import tolerance
 from qcoex.bloch import (
     InvalidEffectError,
     RelativePair,
@@ -21,6 +23,7 @@ from qcoex.oracle import _cut, disks_feasible
 from qcoex.tolerance import BOUNDARY_TOL, CONVEXITY_TOL, DOMAIN_TOL, MATRIX_TOL
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qcoex"
+README = PACKAGE.parent.parent / "README.md"
 # a number literal this small or smaller reads as a tolerance
 LARGEST_TOLERANCE = 1e-6
 
@@ -44,6 +47,22 @@ def test_only_the_tolerance_module_writes_a_tolerance():
     assert PACKAGE / "tolerance.py" in modules
     found = [site for path in modules if path.name != "tolerance.py" for site in small_literals(path)]
     assert found == []
+
+
+def test_readme_table_lists_exactly_the_tolerances_and_each_is_imported():
+    constants = {name: value for name, value in vars(tolerance).items() if name.isupper()}
+    rows = re.findall(r"^\| `([A-Z_]+)` \| ([^|]+) \|", README.read_text(), re.MULTILINE)
+    assert len(rows) == len(constants)
+    assert {name: float(value) for name, value in rows} == constants
+    imported = {
+        alias.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "tolerance.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "tolerance" and node.level == 1
+        for alias in node.names
+    }
+    assert set(constants) - imported == set()
 
 
 class TestDomainTol:

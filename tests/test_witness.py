@@ -542,6 +542,7 @@ class TestAssembleObservable:
         A, B = sic_pair()
         wt = find_witness(A, B)
         A2, B2 = BlochEffect(A.alpha, A.avec), BlochEffect(B.alpha, B.avec)
+        assert (A2, B2) == (A, B)
         assert assemble_observable(A2, B2, wt).report == operator_inequalities_hold(A, B, wt)
         assert check_calls == [wt, wt]
         # a check that fails shows the copies are checked, not trusted
@@ -555,6 +556,22 @@ class TestAssembleObservable:
         A, B = sic_pair()
         wt = find_witness(A, B)
         assert repr(wt) == repr(Witness(wt.gamma, wt.gvec))
+
+    def test_admission_record_stays_out_of_equality_and_hash(self):
+        A, B = sic_pair()
+        wt = find_witness(A, B)
+        assert wt == Witness(wt.gamma, wt.gvec)
+        assert hash(wt) == hash(Witness(wt.gamma, wt.gvec))
+        assert wt != Witness(wt.gamma, (0.0, 0.0, 0.0))
+
+    def test_results_for_the_same_inputs_are_equal(self):
+        # the second is checked afresh, its report made anew
+        A, B = sic_pair()
+        wt = find_witness(A, B)
+        first = assemble_observable(A, B, wt)
+        second = assemble_observable(A, B, Witness(wt.gamma, wt.gvec))
+        assert first == second
+        assert hash(first) == hash(second)
 
 
 class TestVectorsAreFloatTriples:
