@@ -171,7 +171,7 @@ def _cmd_decide(args) -> int:
         "regime": verdict.regime,
         "sharpnessA": verdict.sharpness_a,
     }
-    if verdict.b0 is not None and verdict.w is not None:
+    if verdict.b0 is not None:
         payload["b0"] = verdict.b0
         payload["w"] = verdict.w
     if verdict.by_max is not None:
@@ -255,10 +255,9 @@ def _cmd_selftest(args) -> int:
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         all_pass = all_pass and res.passed
-        worst = "inf" if res.worst == float("inf") else format_float(res.worst)
         print(
             f"{res.name}: checked={res.checked} skipped={res.skipped} "
-            f"violations={res.violations} worst_margin={worst} {status}"
+            f"violations={res.violations} worst_margin={format_float(res.worst)} {status}"
         )
     print("selftest: " + ("PASS" if all_pass else "FAIL"))
     return EXIT_OK if all_pass else EXIT_NEGATIVE

@@ -106,7 +106,7 @@ def _root(q):
             raise ArithmeticError(f"square-root argument out of range: {q!r}")
         return math.sqrt(max(q, 0.0))
     if np.any(q < -ROOT_TOL):
-        raise ArithmeticError(f"square-root argument out of range: {q.min()!r}")
+        raise ArithmeticError(f"square-root argument out of range: {float(q.min())!r}")
     return np.sqrt(np.maximum(q, 0.0))
 
 

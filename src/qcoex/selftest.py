@@ -9,7 +9,7 @@ import numpy as np
 
 from .bloch import BlochEffect, RelativePair, complement, relative_pair
 from .coexist import classify, is_coexistent, special_case_verdict
-from .oracle import DEFAULT_GRID, oracle_scan
+from .oracle import oracle_scan
 from .tolerance import BOUNDARY_BAND, SPECIAL_CASE_BAND
 
 __all__ = [
@@ -196,7 +196,7 @@ def suite_special_cases(n: int, seed: int) -> SuiteResult:
     return SuiteResult("special-cases", checked, violations, skipped, worst)
 
 
-def suite_oracle_agreement(n: int, seed: int, grid: int = DEFAULT_GRID) -> SuiteResult:
+def suite_oracle_agreement(n: int, seed: int, grid: int) -> SuiteResult:
     """Brute-force oracle agrees with the classification outside the margin band.
 
     Pairs whose oracle margin is within ``BOUNDARY_BAND`` of zero are skipped.

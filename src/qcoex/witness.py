@@ -2,10 +2,9 @@
 
 Coexistence of effects A and B is certified by a single effect G1 whose four
 operator constraints (G1 >= 0, G1 <= A, G1 <= B, 1 + G1 >= A + B) hold; the
-joint observable is then (G1, A - G1, B - G1, 1 + G1 - A - B).  A witness
-request checks those constraints once: :func:`find_witness` checks its
-candidate, and :func:`assemble_observable` reuses that check for the same two
-effects and checks any other witness itself.
+joint observable is then (G1, A - G1, B - G1, 1 + G1 - A - B).  Every
+witness is checked where it is used: :func:`find_witness` checks its
+candidate, and :func:`assemble_observable` checks the witness it is given.
 
 One closed form builds G1 in the reduced pair's plane: the operator product
 for commuting pairs, and otherwise a mixture of the witness at the top of the
@@ -16,15 +15,16 @@ A witness is built on Python floats, with a complemented effect's vector
 negated in place rather than a complement object made; its ``gvec``, like a
 :class:`~qcoex.bloch.BlochEffect`'s ``avec``, is a tuple of three floats.
 The check forms the four outcome vectors on floats and makes one (4, 3)
-array for the residuals and one stack of 2x2 complex matrices for a single
-``eigvalsh``; :func:`assemble_observable` forms the outcomes on floats too.
+array for the residuals; each least eigenvalue comes from its 2x2 matrix's
+entries on floats.  :func:`assemble_observable` forms the outcomes on floats
+too.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,14 +56,11 @@ class Witness:
     as in :class:`~qcoex.bloch.BlochEffect`.  Satisfies
     0 <= ||gvec|| <= gamma <= 2 - ||gvec|| whenever it passes
     :func:`operator_inequalities_hold` for a valid pair.  Witnesses compare
-    by value and are hashable.  A witness from :func:`find_witness` also
-    records the effects it was checked against and the report that admitted
-    it; the record is not part of repr, equality or hash.
+    by value and are hashable.
     """
 
     gamma: float
     gvec: tuple[float, float, float]
-    _admitted: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x, y, z = self.gvec
@@ -95,8 +92,6 @@ class InequalityReport:
 
     ``residuals`` come from the Bloch-vector form of the constraints;
     ``min_eigenvalues`` cross-check them independently at operator level.
-    A witness request makes one report: :func:`find_witness` keeps the one
-    that admitted its witness, and :func:`assemble_observable` reuses it.
     """
 
     holds: bool
@@ -107,10 +102,11 @@ class InequalityReport:
 def operator_inequalities_hold(A: BlochEffect, B: BlochEffect, wt: Witness) -> InequalityReport:
     """Check the four constraints making (gamma, gvec) a valid first outcome.
 
-    The four outcome vectors are formed on floats and checked as two arrays,
-    each made in one call: the residuals as ||vector|| - trace over one
-    (4, 3) array, the minimum eigenvalues by one ``eigvalsh`` over one stack
-    of the four 2x2 matrices, built from their 16 entries.
+    The four outcome vectors are formed on floats.  The residuals are
+    ||vector|| - trace over one (4, 3) array; ``np.vecdot`` rounds its sum
+    of squares differently from ``math.hypot``, and the printed residuals
+    keep that rounding.  Each minimum eigenvalue comes from the entries of
+    its 2x2 matrix as (m00 + m11)/2 - hypot((m00 - m11)/2, |m01|).
     """
     gamma = wt.gamma
     (gx, gy, gz), (ax, ay, az), (bx, by, bz) = wt.gvec, A.avec, B.avec
@@ -121,13 +117,13 @@ def operator_inequalities_hold(A: BlochEffect, B: BlochEffect, wt: Witness) -> I
     rows = np.array(shared + [(ax + bx - gx, ay + by - gy, az + bz - gz)])
     lengths = np.sqrt(np.vecdot(rows, rows)).tolist()
     residuals = tuple(n - t for n, t in zip(lengths, traces))
-    entries = []
+    eigenvalues = []
     for t, (x, y, z) in zip(traces, shared + [(gx - ax - bx, gy - ay - by, gz - az - bz)]):
-        entries += (t + z, complex(x, -y), complex(x, y), t - z)
-    matrices = 0.5 * np.array(entries).reshape(4, 2, 2)
-    eigenvalues = tuple(np.linalg.eigvalsh(matrices)[:, 0].tolist())
+        # (t + v.sigma) / 2 has diagonal (t +- z) / 2 and |off-diagonal| |x + iy| / 2
+        m00, m11 = 0.5 * (t + z), 0.5 * (t - z)
+        eigenvalues.append(0.5 * (m00 + m11) - math.hypot(0.5 * (m00 - m11), 0.5 * math.hypot(x, y)))
     holds = max(residuals) <= PSD_TOL and min(eigenvalues) >= -PSD_TOL
-    return InequalityReport(holds, residuals, eigenvalues)
+    return InequalityReport(holds, residuals, tuple(eigenvalues))
 
 
 def gamma_interval_2ci(p: RelativePair) -> tuple[float, float] | None:
@@ -269,11 +265,10 @@ def _plane_basis(avec: Sequence[float], bvec: Sequence[float]) -> tuple[list[flo
 def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
     """Explicit first outcome certifying coexistence; None when not coexistent.
 
-    Builds one candidate in closed form and checks it once with
-    :func:`operator_inequalities_hold`; the witness carries that report to
-    :func:`assemble_observable`.  The candidate is the commuting product when
-    a = 0 or by = 0.  Otherwise by is raised at fixed bx to the allowed top:
-    ``verdict.by_max`` in regime C3, the full-length circle
+    Builds one candidate in closed form and checks it with
+    :func:`operator_inequalities_hold`.  The candidate is the commuting
+    product when a = 0 or by = 0.  Otherwise by is raised at fixed bx to the
+    allowed top: ``verdict.by_max`` in regime C3, the full-length circle
     sqrt(beta^2 - bx^2) elsewhere, where a pair above the circle by roundoff
     is its own top, moved onto the circle at its by.  The witness at the top
     is mixed with the commuting partner at by = 0 with weight
@@ -316,7 +311,6 @@ def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
             "pair classified coexistent but its witness fails the operator "
             f"constraints: residuals={check.residuals}"
         )
-    object.__setattr__(wt, "_admitted", (A, B, check))
     return wt
 
 
@@ -324,19 +318,13 @@ def assemble_observable(A: BlochEffect, B: BlochEffect, wt: Witness) -> WitnessO
     """Four-outcome observable (G1, A - G1, B - G1, 1 + G1 - A - B).
 
     The marginal identities hold by construction; validity of each outcome
-    follows from the operator constraints.  A witness that :func:`find_witness`
-    admitted for these same effect objects keeps the report of that check;
-    any other witness, hand-built or passed with other effects (equal-valued
-    copies included), is checked here.
+    follows from the operator constraints, which are checked here for every
+    witness.
 
     Raises:
         ValueError: when the witness fails the operator constraints.
     """
-    admitted = wt._admitted
-    if admitted is not None and admitted[0] is A and admitted[1] is B:
-        report = admitted[2]
-    else:
-        report = operator_inequalities_hold(A, B, wt)
+    report = operator_inequalities_hold(A, B, wt)
     if not report.holds:
         raise ValueError(
             f"witness fails the operator constraints: residuals={report.residuals}"

@@ -245,6 +245,18 @@ class TestSharpness:
     def test_frozen_value(self):
         assert sharpness_scalar(0.6, 0.5) == pytest.approx(S_06_05, abs=1e-12)
 
+    def test_radicand_out_of_range_raises(self):
+        # a > alpha by 0.1: the product of differences of squares is -0.2079
+        with pytest.raises(InvalidEffectError, match="sharpness arguments out of range"):
+            sharpness_scalar(0.5, 0.6)
+
+    @pytest.mark.parametrize(
+        "alpha,a", [(1.0 + 2.0**-52, 1.0 + 2.0**-52), (0.9999999999999984, 1.0000000000000084)]
+    )
+    def test_just_above_one_is_clamped_to_one(self, alpha, a):
+        # the formula gives 1.0000000000000002 here, within DOMAIN_TOL above 1
+        assert sharpness_scalar(alpha, a) == 1.0
+
     def test_matches_discriminant_root(self):
         # 1 - S equals the larger root of the quadratic (in beta) under the
         # square root of the interval half-width, an independent evaluation path

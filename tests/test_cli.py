@@ -208,6 +208,22 @@ class TestDecideErrors:
         assert out == ""
         assert err.startswith(f"error: effect A: field '{field}' ")
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("[1, 2]", "expected an object, got list"),
+            ("{}", "missing fields (need alpha/a or matrix)"),
+            ('{"a": [0, 0, 0]}', "field 'alpha' is required alongside 'a'"),
+            ('{"alpha": 1}', "field 'a' is required alongside 'alpha'"),
+        ],
+        ids=["list", "empty", "alpha-missing", "a-missing"],
+    )
+    def test_incomplete_spec_file(self, capsys, tmp_path, content, message):
+        path = tmp_path / "effect.json"
+        path.write_text(content)
+        code, out, err = run(capsys, ["decide", str(path), PROJ_Y])
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: effect A: {message}\n")
+
     def test_invalid_effect_parameters(self, capsys):
         code, _, err = run(capsys, ["decide", '{"alpha": 0.3, "a": [0.5, 0, 0]}', PROJ_Y])
         assert code == EXIT_USAGE

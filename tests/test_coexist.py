@@ -17,6 +17,7 @@ from qcoex.coexist import (
     C3,
     TRIVIAL_PARALLEL,
     _interval,
+    _root,
     boundary_curve,
     by_max,
     classify,
@@ -271,6 +272,16 @@ class TestByMax:
                 assert by_max(alpha, a, beta, bx) >= 0.0
             except ValueError:
                 pass
+
+    def test_negative_discriminant_raises(self):
+        # beta = 0.545 lies below the C1 threshold 1 - S(0.5, 0.4), where d < 0
+        with pytest.raises(ArithmeticError, match="negative discriminant"):
+            _interval(0.5, 0.4, 0.545)
+
+    def test_cap_radicand_out_of_range_names_a_float(self):
+        with pytest.raises(ArithmeticError) as info:
+            _root(np.array([-1e-8, 0.25]))
+        assert str(info.value) == "square-root argument out of range: -1e-08"
 
     def test_strictly_inside_circle(self):
         rng = np.random.default_rng(4)

@@ -20,6 +20,7 @@ from qcoex.oracle import (
     _Profile,
     _radii,
     _search,
+    _secant_bound,
     disks_feasible,
     oracle_coexistent,
     oracle_scan,
@@ -615,6 +616,21 @@ class TestSearchCuts:
             assert found.tolist() == [inside[0], inside[-1]]
 
 
+    @pytest.mark.parametrize(
+        "x1,f1,x2,f2,level",
+        [
+            (1.0, 0.5, 2.0, 0.0, 0.0),
+            # a secant that is flat to within the allowance: drop = 0
+            (1.0, 2.0 * CONVEXITY_TOL, 2.0, 0.0, 0.0),
+            # a rising secant that starts below the level
+            (1.0, -1.0, 2.0, -2.0, 0.0),
+        ],
+        ids=["rising", "flat", "rising-below-level"],
+    )
+    def test_secant_that_does_not_fall_returns_its_sample(self, x1, f1, x2, f2, level):
+        assert _secant_bound(x1, f1, x2, f2, level) == x1
+
+
 class TestOracleCoexistent:
     def test_effect_level_entry_points(self):
         A = effect_from_bloch(1.0, (0.0, 0.0, 1.0))
@@ -659,7 +675,7 @@ class TestAgreementSweep:
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError):
-            suite_oracle_agreement(0, seed=1)
+            suite_oracle_agreement(0, seed=1, grid=500)
 
     def test_injected_noncommuting_projections_agree_on_false(self):
         p = RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)
