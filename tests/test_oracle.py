@@ -615,7 +615,6 @@ class TestSearchCuts:
             )
             assert found.tolist() == [inside[0], inside[-1]]
 
-
     @pytest.mark.parametrize(
         "x1,f1,x2,f2,level",
         [
