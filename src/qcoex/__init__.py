@@ -4,7 +4,13 @@ Decides whether two qubit effects can occur as events of a single
 measurement, samples the boundary of the allowed region, constructs
 explicit four-outcome joint observables, and cross-checks every verdict
 against an independent brute-force geometric oracle.
+
+The decision, the witness and their checks run on Python floats.  The
+oracle and the self-test work on numpy arrays, so their names are imported
+on first use, and ``import qcoex`` does not load numpy.
 """
+
+import importlib
 
 from .bloch import (
     BlochEffect,
@@ -29,8 +35,6 @@ from .coexist import (
     is_coexistent,
     special_case_verdict,
 )
-from .oracle import OracleResult, disks_feasible, oracle_coexistent, oracle_scan
-from .selftest import random_effect, random_effect_pair
 from .witness import (
     InequalityReport,
     Witness,
@@ -43,6 +47,28 @@ from .witness import (
 )
 
 __version__ = "0.1.0"
+
+# public name -> the module that defines it, imported by __getattr__
+_ON_FIRST_USE = {
+    "OracleResult": "oracle",
+    "disks_feasible": "oracle",
+    "oracle_coexistent": "oracle",
+    "oracle_scan": "oracle",
+    "random_effect": "selftest",
+    "random_effect_pair": "selftest",
+}
+
+
+def __getattr__(name):
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ON_FIRST_USE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ON_FIRST_USE))
 
 __all__ = [
     "BlochEffect",

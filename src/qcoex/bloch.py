@@ -3,7 +3,8 @@
 A qubit effect is an operator E with 0 <= E <= 1, written throughout as
 E = (alpha * I + avec . sigma) / 2 for a real trace coefficient alpha and a
 real 3-vector avec.  Validity of E is equivalent to
-||avec|| <= alpha <= 2 - ||avec||.
+||avec|| <= alpha <= 2 - ||avec||.  Only the matrix conversions import
+numpy.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .tolerance import DOMAIN_TOL, MATRIX_TOL, RADICAND_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BlochEffect",
@@ -94,7 +97,9 @@ def effect_from_bloch(alpha: float, avec) -> BlochEffect:
     """
     if not _is_real(alpha):
         raise InvalidEffectError(f"field 'alpha' must be a real number, got {type(alpha).__name__}")
-    items = tuple(avec) if isinstance(avec, np.ndarray) and avec.ndim == 1 else avec
+    # an array can exist only once numpy is loaded
+    np = sys.modules.get("numpy")
+    items = tuple(avec) if np is not None and isinstance(avec, np.ndarray) and avec.ndim == 1 else avec
     if not isinstance(items, (list, tuple)) or len(items) != 3 or not all(map(_is_real, items)):
         raise InvalidEffectError("field 'avec' must be a length-3 list, tuple or 1-D array of real numbers")
     try:
@@ -123,6 +128,8 @@ def complement(e: BlochEffect) -> BlochEffect:
 
 def effect_to_matrix(e: BlochEffect) -> np.ndarray:
     """2x2 complex matrix (alpha * I + avec . sigma) / 2."""
+    import numpy as np
+
     ax, ay, az = e.avec
     return 0.5 * np.array(
         [
@@ -149,6 +156,8 @@ def effect_from_matrix(m) -> BlochEffect:
             a non-finite entry, non-Hermitian input or an eigenvalue outside
             the operator bounds.
     """
+    import numpy as np
+
     try:
         mat = np.asarray(m)
     except ValueError:

@@ -2,7 +2,9 @@
 
 Output is deterministic: stable key order, floats at 15 significant digits.
 Exit codes: 0 coexistent / suite pass, 1 not coexistent / suite fail,
-2 usage or input error, 3 internal failure.
+2 usage or input error, 3 internal failure.  numpy is loaded only by the
+paths that make arrays: ``decide --oracle``, ``boundary``, ``selftest`` and
+matrix inputs.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .bloch import (
     sharpness,
 )
 from .coexist import boundary_curve, classify
-from .oracle import _MAX_GRID, oracle_scan
-from .selftest import run_all
 from .witness import assemble_observable, find_witness
 
 EXIT_OK = 0
@@ -179,6 +179,8 @@ def _cmd_decide(args) -> int:
     if args.witness:
         payload["witness"] = _witness_payload(A, B)
     if args.oracle:
+        from .oracle import oracle_scan
+
         result = oracle_scan(pair)
         payload["oracle"] = {
             "coexistent": result.coexistent,
@@ -244,6 +246,9 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .oracle import _MAX_GRID
+    from .selftest import run_all
+
     if args.samples < 1:
         raise SpecError(f"selftest: --samples must be at least 1, got {args.samples}")
     if args.seed < 0:

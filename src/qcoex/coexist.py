@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bloch import BlochEffect, RelativePair, relative_pair, sharpness_scalar
 from .tolerance import BOUNDARY_TOL, DOMAIN_TOL, RADICAND_TOL, ROOT_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ARC_CIRCLE",
@@ -105,6 +107,8 @@ def _root(q):
         if q < -ROOT_TOL:
             raise ArithmeticError(f"square-root argument out of range: {q!r}")
         return math.sqrt(max(q, 0.0))
+    import numpy as np
+
     if np.any(q < -ROOT_TOL):
         raise ArithmeticError(f"square-root argument out of range: {float(q.min())!r}")
     return np.sqrt(np.maximum(q, 0.0))
@@ -241,6 +245,7 @@ def boundary_curve(
         raise ValueError(
             f"n_samples must be between 16 and {_MAX_SAMPLES}, got {n_samples!r}"
         )
+    import numpy as np
 
     interval = _restricted_interval(alpha, a, beta, sharpness_scalar(alpha, a))
     b0, w = interval or (None, None)

@@ -44,9 +44,9 @@ ROOT_TOL = 1e-9
 # linear one.
 DEGENERATE_TOL = 1e-14
 
-# Witness check: largest Bloch residual ||vector|| - trace and most
-# negative eigenvalue an outcome of the joint observable may have.
-# Trace-coefficient and operator units.
+# Witness check: largest Bloch residual ||vector|| - trace an outcome of
+# the joint observable may have (minus twice its least eigenvalue).
+# Trace-coefficient units.
 PSD_TOL = 1e-9
 
 # Oracle search: bracket width at which the feasible gamma interval's

@@ -14,10 +14,10 @@ by = 0.  Nothing here calls the oracle, so the two check each other.
 A witness is built on Python floats, with a complemented effect's vector
 negated in place rather than a complement object made; its ``gvec``, like a
 :class:`~qcoex.bloch.BlochEffect`'s ``avec``, is a tuple of three floats.
-The check forms the four outcome vectors on floats and makes one (4, 3)
-array for the residuals; each least eigenvalue comes from its 2x2 matrix's
-entries on floats.  :func:`assemble_observable` forms the outcomes on floats
-too.
+The check and :func:`assemble_observable` form the four outcome vectors on
+floats too, and each length is the square root of the correctly rounded sum
+of squares, so a residual is the same on every IEEE host.  Nothing here
+imports numpy.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bloch import SHORT_LENGTH, BlochEffect, RelativePair, _scaled, relative_pair
 from .coexist import C3, Verdict, classify
@@ -90,40 +88,68 @@ class WitnessObservable:
 class InequalityReport:
     """Residuals of the four operator constraints (each <= 0 when satisfied).
 
-    ``residuals`` come from the Bloch-vector form of the constraints;
-    ``min_eigenvalues`` cross-check them independently at operator level.
+    Outcome k is (t_k + v_k . sigma) / 2, with least eigenvalue
+    (t_k - ||v_k||) / 2, so it is positive semidefinite exactly when its
+    residual ||v_k|| - t_k is at most 0.  ``holds`` is True when every
+    residual is at most ``PSD_TOL``; a NaN residual never holds.
     """
 
     holds: bool
     residuals: tuple[float, float, float, float]
-    min_eigenvalues: tuple[float, float, float, float]
+
+
+# 2**27 + 1: splits a float into two halves whose products are exact
+_SPLIT = 134217729.0
+
+
+def _length(x: float, y: float, z: float) -> float:
+    """Square root of the correctly rounded x^2 + y^2 + z^2.
+
+    Each square is the exact sum p + e of its float and its rounding error,
+    from the component's halves (Veltkamp/Dekker), and ``math.fsum`` rounds
+    the six terms once.  A vector shorter than ``SHORT_LENGTH`` is first
+    scaled by a power of two, exactly, so that its squares do not underflow;
+    a component far below the vector's length can still lose part of its
+    square, at most 2**-100 of the sum.  Zero, non-finite lengths and
+    lengths above 1 / ``SHORT_LENGTH``, which no outcome of a valid pair
+    has, are ``math.hypot``'s.
+    """
+    n = math.hypot(x, y, z)
+    k = 0
+    if not SHORT_LENGTH <= n <= 1.0 / SHORT_LENGTH:
+        if not 0.0 < n < SHORT_LENGTH:
+            return n
+        (x, y, z), _, k = _scaled((x, y, z), n)
+    hx, hy, hz = _SPLIT * x, _SPLIT * y, _SPLIT * z
+    hx, hy, hz = hx - (hx - x), hy - (hy - y), hz - (hz - z)
+    lx, ly, lz = x - hx, y - hy, z - hz
+    px, py, pz = x * x, y * y, z * z
+    total = math.fsum((
+        px, ((hx * hx - px) + 2.0 * hx * lx) + lx * lx,
+        py, ((hy * hy - py) + 2.0 * hy * ly) + ly * ly,
+        pz, ((hz * hz - pz) + 2.0 * hz * lz) + lz * lz,
+    ))
+    return math.ldexp(math.sqrt(total), -k)
 
 
 def operator_inequalities_hold(A: BlochEffect, B: BlochEffect, wt: Witness) -> InequalityReport:
     """Check the four constraints making (gamma, gvec) a valid first outcome.
 
-    The four outcome vectors are formed on floats.  The residuals are
-    ||vector|| - trace over one (4, 3) array; ``np.vecdot`` rounds its sum
-    of squares differently from ``math.hypot``, and the printed residuals
-    keep that rounding.  Each minimum eigenvalue comes from the entries of
-    its 2x2 matrix as (m00 + m11)/2 - hypot((m00 - m11)/2, |m01|).
+    The outcome vectors g, a - g, b - g and (a + b) - g and their traces are
+    formed on floats, and each residual is ||vector|| - trace, with the
+    length from the exact squares of its components summed by ``math.fsum``.
+    A witness with a NaN or infinite entry gets a NaN or infinite residual
+    and does not hold; no witness makes the check raise.
     """
     gamma = wt.gamma
     (gx, gy, gz), (ax, ay, az), (bx, by, bz) = wt.gvec, A.avec, B.avec
-    traces = (gamma, A.alpha - gamma, B.alpha - gamma, 2.0 + gamma - A.alpha - B.alpha)
-    shared = [(gx, gy, gz), (ax - gx, ay - gy, az - gz), (bx - gx, by - gy, bz - gz)]
-    # the last outcome's vector is (a + b) - g in its residual and (g - a) - b
-    # in its operator; the two round differently, so both are kept
-    rows = np.array(shared + [(ax + bx - gx, ay + by - gy, az + bz - gz)])
-    lengths = np.sqrt(np.vecdot(rows, rows)).tolist()
-    residuals = tuple(n - t for n, t in zip(lengths, traces))
-    eigenvalues = []
-    for t, (x, y, z) in zip(traces, shared + [(gx - ax - bx, gy - ay - by, gz - az - bz)]):
-        # (t + v.sigma) / 2 has diagonal (t +- z) / 2 and |off-diagonal| |x + iy| / 2
-        m00, m11 = 0.5 * (t + z), 0.5 * (t - z)
-        eigenvalues.append(0.5 * (m00 + m11) - math.hypot(0.5 * (m00 - m11), 0.5 * math.hypot(x, y)))
-    holds = max(residuals) <= PSD_TOL and min(eigenvalues) >= -PSD_TOL
-    return InequalityReport(holds, residuals, tuple(eigenvalues))
+    residuals = (
+        _length(gx, gy, gz) - gamma,
+        _length(ax - gx, ay - gy, az - gz) - (A.alpha - gamma),
+        _length(bx - gx, by - gy, bz - gz) - (B.alpha - gamma),
+        _length(ax + bx - gx, ay + by - gy, az + bz - gz) - (2.0 + gamma - A.alpha - B.alpha),
+    )
+    return InequalityReport(all(r <= PSD_TOL for r in residuals), residuals)
 
 
 def gamma_interval_2ci(p: RelativePair) -> tuple[float, float] | None:

@@ -18,7 +18,6 @@ from qcoex.bloch import (
     sharpness,
     sharpness_scalar,
 )
-from qcoex.coexist import C1, C2, C3, TRIVIAL_PARALLEL, classify
 
 # Independently computed with 40-digit arithmetic from the defining formula.
 S_06_05 = 0.3281475155779856
@@ -366,25 +365,6 @@ class TestRelativePair:
         assert fields(A, B) == expected
         # one length formula for effects and pairs
         assert expected[1] == A.a
-
-    def test_reduction_and_classification_make_no_numpy_call(self, monkeypatch):
-        class NoNumpy:
-            def __getattr__(self, name):
-                raise AssertionError(f"numpy.{name} was used")
-
-        first = effect_from_bloch(0.6, (0.5, 0.0, 0.0))
-        pairs = [
-            (C1, first, effect_from_bloch(0.3, (0.0, 0.1, 0.0))),
-            (C1, effect_from_bloch(1.0, (1e-160, 1e-160, 0.0)), effect_from_bloch(1.0, (0.0, 1.0, 0.0))),
-            (C2, effect_from_bloch(1.4, (-0.5, 0.0, 0.0)), effect_from_bloch(1.1, (0.85, 0.0, 0.1))),
-            (C3, first, effect_from_bloch(0.9, (0.1, 0.2, 0.2))),
-            (TRIVIAL_PARALLEL, first, effect_from_bloch(1.3, (0.0, 0.0, 0.0))),
-        ]
-        monkeypatch.setattr("qcoex.bloch.np", NoNumpy())
-        monkeypatch.setattr("qcoex.coexist.np", NoNumpy())
-        for regime, A, B in pairs:
-            p, _ = relative_pair(A, B)
-            assert classify(p).regime == regime
 
     @settings(max_examples=200)
     @given(valid_effects(), valid_effects())

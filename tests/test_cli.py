@@ -25,7 +25,7 @@ DATA = Path(__file__).parent / "data"
 # stdout of the README example `qcoex witness` command
 README_WITNESS_OUT = (
     '{"coexistent": true, "witness": {"gamma": 0.370371132733644, "g": [0.0730173112465944, '
-    '0.18392742003357, 0.0797941581423525], "residuals": [-0.156998380828594, '
+    '0.18392742003357, 0.0797941581423525], "residuals": [-0.156998380828595, '
     '-0.174811166741327, -0.271814337086737, -0.26309670287453], "effects": {"G1": {"alpha": '
     '0.370371132733644, "a": [0.0730173112465944, 0.18392742003357, 0.0797941581423525]}, '
     '"G2": {"alpha": 0.429628867266356, "a": [0.226982688753406, -0.0839274200335697, '
