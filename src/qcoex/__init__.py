@@ -60,15 +60,13 @@ _ON_FIRST_USE = {
 
 
 def __getattr__(name):
+    """The names of ``_ON_FIRST_USE``, imported from their module on first use (PEP 562)."""
     if name not in _ON_FIRST_USE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_ON_FIRST_USE[name]}", __name__), name)
     globals()[name] = value
     return value
 
-
-def __dir__():
-    return sorted(set(globals()) | set(_ON_FIRST_USE))
 
 __all__ = [
     "BlochEffect",

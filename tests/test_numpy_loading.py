@@ -67,4 +67,5 @@ def test_decision_and_witness_paths_do_not_load_numpy():
     ids=["decide-oracle", "boundary", "matrix-spec", "oracle_scan", "all-names"],
 )
 def test_array_paths_load_numpy(statement):
-    assert numpy_loaded_after(["import qcoex", "from qcoex.cli import main", statement]) == [False, False, True]
+    statements = ["import qcoex", "from qcoex.cli import main", statement]
+    assert numpy_loaded_after(statements) == [False, False, True]

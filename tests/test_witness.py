@@ -305,6 +305,11 @@ class TestOperatorInequalities:
         # keeps about four digits
         unscaled = math.sqrt(float(2 * Fraction(1e-160) ** 2))
         assert abs(unscaled - length(self.TINY_ROWS[0])) > 1e-6 * unscaled
+        # non-finite and huge rows, which no valid outcome has, keep hypot's length
+        huge = [(math.inf, 1.0, 0.0), (-math.inf, math.nan, 0.0), (1e200, 1e200, 0.0), (1e308, -1e308, 1e308)]
+        for row in huge:
+            assert length(row) == math.hypot(*row)
+        assert math.isnan(length((math.nan, 1.0, 0.0)))
         rng = np.random.default_rng(13)
         for row in rng.uniform(-1.0, 1.0, size=(2000, 3)) * rng.choice([1e-200, 1e-3, 1.0], size=(2000, 1)):
             row = tuple(row.tolist())
@@ -326,6 +331,16 @@ class TestOperatorInequalities:
         assert report.holds is False
         with pytest.raises(ValueError, match="constraints"):
             assemble_observable(A, B, Witness(gamma, gvec))
+
+    def test_nan_in_some_residuals_never_holds(self):
+        # a NaN trace coefficient spoils only the residuals of the outcomes
+        # that contain it, here the second and the fourth; max() would keep
+        # the first residual and pass the check
+        A, B = sic_pair()
+        wt = Witness(0.5, (0.5 * SQRT3_INV,) * 3)
+        report = operator_inequalities_hold(BlochEffect(math.nan, A.avec), B, wt)
+        assert [math.isnan(r) for r in report.residuals] == [False, True, False, True]
+        assert report.holds is False
 
     def test_noncommuting_projection_candidates_fail(self):
         A = effect_from_bloch(1.0, (0.0, 0.0, 1.0))
