@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .tolerance import DOMAIN_TOL, MATRIX_TOL, RADICAND_TOL
 
@@ -53,11 +52,16 @@ class InvalidEffectError(ValueError):
     """Raised when parameters or a matrix do not describe a qubit effect."""
 
 
-@dataclass(frozen=True)
-class BlochEffect:
+# the fields of BlochEffect, whose __new__ coerces them
+class _BlochEffect(NamedTuple):
+    alpha: float
+    avec: tuple[float, float, float]
+
+
+class BlochEffect(_BlochEffect):
     """Qubit effect (alpha * I + avec . sigma) / 2.
 
-    Plain immutable container; use :func:`effect_from_bloch` or
+    Immutable named tuple (alpha, avec); use :func:`effect_from_bloch` or
     :func:`effect_from_matrix` when the input needs validation.  ``alpha``
     is stored as a float and ``avec`` as a tuple of three floats, whatever
     real sequence of length 3 (an array included) was passed; array
@@ -65,13 +69,11 @@ class BlochEffect:
     and are hashable.
     """
 
-    alpha: float
-    avec: tuple[float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        x, y, z = self.avec
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "avec", (float(x), float(y), float(z)))
+    def __new__(cls, alpha: float, avec) -> BlochEffect:
+        x, y, z = avec
+        return tuple.__new__(cls, (float(alpha), (float(x), float(y), float(z))))
 
     @property
     def a(self) -> float:
@@ -223,8 +225,7 @@ def sharpness(e: BlochEffect) -> float:
     return sharpness_scalar(e.alpha, e.a)
 
 
-@dataclass(frozen=True)
-class RelativePair:
+class RelativePair(NamedTuple):
     """Canonical relative coordinates of an effect pair.
 
     ``alpha`` and ``a`` describe the first effect, ``beta`` the second;
@@ -245,8 +246,7 @@ class RelativePair:
         return math.hypot(self.bx, self.by)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     """How a pair was canonicalized, so verdicts and witnesses map back.
 
     ``complemented_a`` / ``complemented_b`` record replacement by 1 - E when

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
 
 from .bloch import (
     BlochEffect,
@@ -132,11 +132,11 @@ def load_effect_arg(text: str, label: str) -> BlochEffect:
     if raw.startswith("{"):
         spec = _parse_json(raw, f"{label}: invalid JSON")
     else:
-        path = Path(raw)
-        if not path.is_file():
+        if not os.path.isfile(raw):
             raise SpecError(f"{label}: no such file: {raw}")
         try:
-            content = path.read_text(encoding="utf-8")
+            with open(raw, encoding="utf-8") as f:
+                content = f.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise SpecError(f"{label}: cannot read {raw}: {exc}") from None
         spec = _parse_json(content, f"{label}: invalid JSON in {raw}")

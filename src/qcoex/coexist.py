@@ -9,8 +9,7 @@ component is capped).  Commuting pairs short-circuit to TrivialParallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bloch import BlochEffect, RelativePair, relative_pair, sharpness_scalar
 from .tolerance import BOUNDARY_TOL, DOMAIN_TOL, RADICAND_TOL, ROOT_TOL
@@ -48,8 +47,7 @@ ARC_CURVE = "curve"
 _MAX_SAMPLES = 100_000
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Coexistence decision for a canonical pair.
 
     ``b0`` and ``w`` (center and half-width of the direction interval that
@@ -207,14 +205,14 @@ def by_max(alpha: float, a: float, beta: float, bx: float) -> float:
     return _cap(alpha, a, beta, bx, b0)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryCurve:
+class BoundaryCurve(NamedTuple):
     """Sampled boundary of the allowed region for fixed (alpha, a, beta).
 
     ``r[i]`` is the largest allowed vector length at direction component
     ``bx[i]``; the tag is ``"circle"`` on the full-length arc (r = beta
     exactly) and ``"curve"`` strictly inside the restricted interval.
-    ``b0`` and ``w`` are None when the whole circle is allowed.
+    ``b0`` and ``w`` are None when the whole circle is allowed.  The arrays
+    make value equality ambiguous, so curves compare and hash by identity.
     """
 
     alpha: float
@@ -225,6 +223,10 @@ class BoundaryCurve:
     regime: tuple[str, ...]
     b0: float | None
     w: float | None
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def boundary_curve(
@@ -268,8 +270,7 @@ def boundary_curve(
     return BoundaryCurve(alpha, a, beta, xs, rs, tags, b0, w)
 
 
-@dataclass(frozen=True)
-class SpecialCaseVerdict:
+class SpecialCaseVerdict(NamedTuple):
     """Closed-form verdict from one of the historically known regimes.
 
     ``margin`` is the distance of the pair from the deciding comparison,

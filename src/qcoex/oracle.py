@@ -15,7 +15,7 @@ no formulas with the closed-form classification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -324,9 +324,8 @@ def _search(
     return at[rows, best], values[rows, best], points[rows * at.shape[1] + best]
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Outcome of a gamma scan.
+class OracleResult(NamedTuple):
+    """Outcome of a gamma scan, as a named tuple.
 
     ``margin`` is the minimum over gamma of the best max constraint
     violation: negative means feasible with that much slack, positive means

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ N_LAMBDAS = 10
 MAX_DRAWS_FACTOR = 60
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     """One verification suite: instances checked, skipped, and violations.
 
     ``worst`` is the smallest absolute decision margin among compared

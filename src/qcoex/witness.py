@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bloch import SHORT_LENGTH, BlochEffect, RelativePair, _scaled, relative_pair
 from .coexist import C3, Verdict, classify
@@ -46,9 +46,14 @@ class WitnessError(RuntimeError):
     """Raised when a pair classified coexistent gets no valid witness."""
 
 
-@dataclass(frozen=True)
-class Witness:
-    """First outcome of a joint observable, as (gamma, gvec).
+# the fields of Witness, whose __new__ coerces them
+class _Witness(NamedTuple):
+    gamma: float
+    gvec: tuple[float, float, float]
+
+
+class Witness(_Witness):
+    """First outcome of a joint observable, as the named tuple (gamma, gvec).
 
     ``gamma`` is stored as a float and ``gvec`` as a tuple of three floats,
     as in :class:`~qcoex.bloch.BlochEffect`.  Satisfies
@@ -57,21 +62,19 @@ class Witness:
     by value and are hashable.
     """
 
-    gamma: float
-    gvec: tuple[float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        x, y, z = self.gvec
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "gvec", (float(x), float(y), float(z)))
+    def __new__(cls, gamma: float, gvec) -> Witness:
+        x, y, z = gvec
+        return tuple.__new__(cls, (float(gamma), (float(x), float(y), float(z))))
 
 
-@dataclass(frozen=True)
-class WitnessObservable:
+class WitnessObservable(NamedTuple):
     """Four effects with G1 + G2 = A, G1 + G3 = B and total sum the identity.
 
     ``report`` is the check of the operator constraints that admitted G1.
-    Observables compare by value and are hashable.
+    Observables are named tuples (g1, g2, g3, g4, report); they compare by
+    value and are hashable, and :meth:`effects` gives the four effects.
     """
 
     g1: BlochEffect
@@ -84,8 +87,7 @@ class WitnessObservable:
         return (self.g1, self.g2, self.g3, self.g4)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Residuals of the four operator constraints (each <= 0 when satisfied).
 
     Outcome k is (t_k + v_k . sigma) / 2, with least eigenvalue

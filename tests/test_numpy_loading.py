@@ -3,7 +3,9 @@
 The decision, the witness and their checks run on Python floats, so
 ``import qcoex``, ``decide``, ``decide --witness``, ``witness`` and
 ``sharpness`` of a Bloch spec never import numpy.  The oracle, the boundary
-curve and matrix inputs make arrays and load it when first used.
+curve and matrix inputs make arrays and load it when first used.  The
+records are named tuples, so no path imports ``dataclasses``, and the
+numpy-free paths do not import ``inspect`` (numpy itself does).
 """
 
 import os
@@ -21,15 +23,16 @@ B = '{"alpha": 0.9, "a": [0.1, 0.2, 0.2]}'
 PROJ_Z = '{"alpha": 1, "a": [0, 0, 1]}'
 PROJ_Y = '{"alpha": 1, "a": [0, 1, 0]}'
 HALF = '{"matrix": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}'
+WATCHED = ("numpy", "dataclasses", "inspect")
 
 
-def numpy_loaded_after(statements):
+def loaded_after(statements):
     """Run the statements in turn in a fresh interpreter, their output
-    discarded; whether numpy is loaded after each."""
+    discarded; which of the WATCHED modules are loaded after each."""
     lines = ["import contextlib, io, sys"]
     for statement in statements:
         lines.append(f"with contextlib.redirect_stdout(io.StringIO()): {statement}")
-        lines.append("print('numpy' in sys.modules)")
+        lines.append(f"print(','.join(m for m in {WATCHED!r} if m in sys.modules) or '-')")
     proc = subprocess.run(
         [sys.executable, "-c", "\n".join(lines)],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -38,7 +41,7 @@ def numpy_loaded_after(statements):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return [line == "True" for line in proc.stdout.split()]
+    return [set(line.split(",")) - {"-"} for line in proc.stdout.split()]
 
 
 def test_decision_and_witness_paths_do_not_load_numpy():
@@ -51,7 +54,7 @@ def test_decision_and_witness_paths_do_not_load_numpy():
         f"assert main(['witness', {A!r}, {B!r}]) == 0",
         f"assert main(['sharpness', {A!r}]) == 0",
     ]
-    assert numpy_loaded_after(statements) == [False] * len(statements)
+    assert loaded_after(statements) == [set()] * len(statements)
 
 
 @pytest.mark.parametrize(
@@ -68,4 +71,6 @@ def test_decision_and_witness_paths_do_not_load_numpy():
 )
 def test_array_paths_load_numpy(statement):
     statements = ["import qcoex", "from qcoex.cli import main", statement]
-    assert numpy_loaded_after(statements) == [False, False, True]
+    first, second, last = loaded_after(statements)
+    assert first == second == set()
+    assert "numpy" in last and "dataclasses" not in last

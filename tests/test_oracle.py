@@ -1,7 +1,6 @@
 """Disk-system geometry, exact feasibility, gamma scans, agreement sweeps."""
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -185,7 +184,7 @@ class TestDisksFeasible:
         p = RelativePair(0.6, 0.5, 0.6, 0.1, 0.2)
         pt = disks_feasible(p, 0.15)
         assert pt is not None
-        assert reference.disk_excess(astuple(p), 0.15, pt) <= BOUNDARY_TOL
+        assert reference.disk_excess(tuple(p), 0.15, pt) <= BOUNDARY_TOL
 
     def test_orthogonal_projections_never_feasible(self):
         p = RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)
@@ -196,7 +195,7 @@ class TestDisksFeasible:
         p = RelativePair(1.0, SQRT3_INV, 1.0, 0.0, SQRT3_INV)
         assert disks_feasible(p, 0.5) is not None
         planar = (0.5 * SQRT3_INV, 0.5 * SQRT3_INV)
-        assert reference.disk_excess(astuple(p), 0.5, planar) <= BOUNDARY_TOL
+        assert reference.disk_excess(tuple(p), 0.5, planar) <= BOUNDARY_TOL
 
     def test_agrees_with_rejection_sampling(self):
         # 10^6 sampled points across random systems: sampling never finds a
@@ -223,7 +222,7 @@ class TestDisksFeasible:
             if verdict is None:
                 assert not sampled_feasible
             else:
-                assert reference.disk_excess(astuple(p), gamma, verdict) <= BOUNDARY_TOL
+                assert reference.disk_excess(tuple(p), gamma, verdict) <= BOUNDARY_TOL
 
 
 def criterion_3_pairs(n: int) -> list[RelativePair]:
@@ -338,7 +337,7 @@ class TestOracleScan:
             if not res.coexistent:
                 continue
             assert res.point == disks_feasible(p, res.gamma)
-            assert reference.disk_excess(astuple(p), res.gamma, res.point) <= BOUNDARY_TOL
+            assert reference.disk_excess(tuple(p), res.gamma, res.point) <= BOUNDARY_TOL
             gmax = min(p.alpha, p.beta)
             for edge, outward in ((res.gamma_lo, -ENDPOINT_TOL), (res.gamma_hi, ENDPOINT_TOL)):
                 assert disks_feasible(p, edge) is not None
@@ -407,7 +406,7 @@ class TestOracleScan:
                 assert np.searchsorted(gammas, res.gamma_lo) == inside[0]
                 assert np.searchsorted(gammas, res.gamma_hi, side="right") - 1 == inside[-1]
             assert res.gamma_lo <= res.gamma <= res.gamma_hi
-            assert reference.disk_excess(astuple(p), res.gamma, res.point) <= BOUNDARY_TOL
+            assert reference.disk_excess(tuple(p), res.gamma, res.point) <= BOUNDARY_TOL
 
     def test_work_is_counted_and_bounded(self, monkeypatch):
         # kernel_calls and columns are the scan's kernel calls and the gammas

@@ -492,11 +492,11 @@ class TestFindWitness:
             (TRIVIAL_PARALLEL, first, effect_from_bloch(1.3, (0.0, 0.0, 0.0))),
         ]
 
-        def refuse(self):
+        def refuse(cls, *args, **kwargs):
             raise AssertionError("an effect object was built")
 
         # inputs are built first; a complement would build one per request
-        monkeypatch.setattr(BlochEffect, "__post_init__", refuse)
+        monkeypatch.setattr(BlochEffect, "__new__", refuse)
         for regime, A, B in pairs:
             assert classify(relative_pair(A, B)[0]).regime == regime
             check_calls.clear()
