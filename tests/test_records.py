@@ -129,8 +129,3 @@ def test_boundary_curve_compares_by_identity():
     assert hash(first) == object.__hash__(first)
     assert len({first, second}) == 2
 
-
-def test_coerced_records_unpack_to_floats():
-    alpha, avec = BlochEffect(1, np.array([0, 0, 1]))
-    gamma, gvec = Witness(np.float64(0.5), (0, 0.25, 0))
-    assert [type(x) for x in (alpha, *avec, gamma, *gvec)] == [float] * 8
