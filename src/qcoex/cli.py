@@ -23,7 +23,7 @@ from .bloch import (
     sharpness,
 )
 from .coexist import boundary_curve, classify
-from .witness import assemble_observable, find_witness
+from .witness import _unchecked_witness, assemble_observable
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -147,10 +147,11 @@ def _effect_payload(e: BlochEffect) -> dict:
     return {"alpha": e.alpha, "a": list(e.avec)}
 
 
-def _witness_payload(A: BlochEffect, B: BlochEffect) -> dict | None:
-    wt = find_witness(A, B)
-    if wt is None:
+def _witness_payload(A: BlochEffect, B: BlochEffect, pair, report, verdict) -> dict | None:
+    # the command's own reduction and verdict; assemble_observable checks the witness
+    if not verdict.coexistent:
         return None
+    wt = _unchecked_witness(A, B, pair, report, verdict)
     observable = assemble_observable(A, B, wt)
     names = ("G1", "G2", "G3", "G4")
     return {
@@ -164,7 +165,7 @@ def _witness_payload(A: BlochEffect, B: BlochEffect) -> dict | None:
 def _cmd_decide(args) -> int:
     A = load_effect_arg(args.effect_a, "effect A")
     B = load_effect_arg(args.effect_b, "effect B")
-    pair, _ = relative_pair(A, B)
+    pair, report = relative_pair(A, B)
     verdict = classify(pair)
     payload = {
         "coexistent": verdict.coexistent,
@@ -177,7 +178,7 @@ def _cmd_decide(args) -> int:
     if verdict.by_max is not None:
         payload["by_max"] = verdict.by_max
     if args.witness:
-        payload["witness"] = _witness_payload(A, B)
+        payload["witness"] = _witness_payload(A, B, pair, report, verdict)
     if args.oracle:
         from .oracle import oracle_scan
 
@@ -231,7 +232,8 @@ def _cmd_boundary(args) -> int:
 def _cmd_witness(args) -> int:
     A = load_effect_arg(args.effect_a, "effect A")
     B = load_effect_arg(args.effect_b, "effect B")
-    payload = _witness_payload(A, B)
+    pair, report = relative_pair(A, B)
+    payload = _witness_payload(A, B, pair, report, classify(pair))
     if payload is None:
         print(dumps({"coexistent": False, "witness": None}))
         return EXIT_NEGATIVE
@@ -246,16 +248,13 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .oracle import _MAX_GRID
     from .selftest import run_all
 
     if args.samples < 1:
         raise SpecError(f"selftest: --samples must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise SpecError(f"selftest: --seed must be non-negative, got {args.seed}")
-    if not 100 <= args.grid <= _MAX_GRID:
-        raise SpecError(f"selftest: --grid must be between 100 and {_MAX_GRID}, got {args.grid}")
-    results = run_all(args.samples, args.seed, oracle_grid=args.grid)
+    results = run_all(args.samples, args.seed)
     all_pass = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -303,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     selftest = sub.add_parser("selftest", help="run the seeded verification suites")
     selftest.add_argument("--samples", type=int, default=500)
     selftest.add_argument("--seed", type=int, default=0)
-    selftest.add_argument("--grid", type=int, default=2000)
     selftest.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -240,10 +240,10 @@ def boundary_curve(
 
     Raises:
         ValueError: for parameters outside their ranges, or ``n_samples``
-            outside [16, 100 000].
+            not an ``int`` in [16, 100 000] (a bool is not one).
     """
     _check_parameters(alpha, a, beta)
-    if not 16 <= n_samples <= _MAX_SAMPLES:
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or not 16 <= n_samples <= _MAX_SAMPLES:
         raise ValueError(
             f"n_samples must be between 16 and {_MAX_SAMPLES}, got {n_samples!r}"
         )

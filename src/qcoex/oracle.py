@@ -29,9 +29,7 @@ __all__ = [
     "oracle_scan",
 ]
 
-DEFAULT_GRID = 10_000
-# Largest grid oracle_scan accepts: it holds the grid's gammas.
-_MAX_GRID = 1_000_000
+GRID_STEPS = 10_000
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
@@ -345,20 +343,20 @@ class OracleResult(NamedTuple):
     columns: int = 0
 
 
-def oracle_scan(p: RelativePair, grid: int = DEFAULT_GRID) -> OracleResult:
+def oracle_scan(p: RelativePair) -> OracleResult:
     """Scan gamma over [0, min(alpha, beta)] and decide feasibility.
 
     Each disk's violation ``||g - c_i|| - r_i(gamma)`` is jointly convex in
     ``(g, gamma)``, because its radius is linear in gamma.  So is their
     maximum, and minimizing that over g leaves a convex function of gamma,
     the violation profile.  Its feasible set, where it is at most
-    ``BOUNDARY_TOL``, is therefore an interval, and the grid of ``grid``
-    steps is searched, not evaluated (_search): each step samples 33 grid
-    indices, keeps the cells next to the best one and cuts away what the
-    secants through the samples beyond them, which lie below a convex
-    profile, rule out, until it holds the grid minimum; when that is
-    feasible the same search, on the feasibility of each sample, finds the
-    first and last feasible grid gammas.  On a flat minimum the search
+    ``BOUNDARY_TOL``, is therefore an interval, and the grid of
+    ``GRID_STEPS`` steps is searched, not evaluated (_search): each step
+    samples 33 grid indices, keeps the cells next to the best one and cuts
+    away what the secants through the samples beyond them, which lie below
+    a convex profile, rule out, until it holds the grid minimum; when that
+    is feasible the same search, on the feasibility of each sample, finds
+    the first and last feasible grid gammas.  On a flat minimum the search
     keeps a sample within roundoff of the lowest grid value, not
     necessarily its first index.  When no grid gamma is feasible, a bracket
     search around the grid minimum refines it to ``MINIMUM_TOL`` and
@@ -369,10 +367,8 @@ def oracle_scan(p: RelativePair, grid: int = DEFAULT_GRID) -> OracleResult:
     feasible, its gamma, the minimax point of the same kernel evaluation
     (the certificate) and the interval edges, with the work done.
     """
-    if isinstance(grid, bool) or not isinstance(grid, int) or not 100 <= grid <= _MAX_GRID:
-        raise ValueError(f"grid must be between 100 and {_MAX_GRID}, got {grid!r}")
     gmax = min(p.alpha, p.beta)
-    gammas = np.linspace(0.0, gmax, grid + 1) if gmax > 0.0 else np.array([0.0])
+    gammas = np.linspace(0.0, gmax, GRID_STEPS + 1) if gmax > 0.0 else np.array([0.0])
     last = gammas.size - 1
     profile = _Profile(p)
     (k,), (margin,), (point,) = _search(profile, np.array([0]), np.array([last]), np.zeros(1), _CELLS, gammas)
@@ -399,8 +395,8 @@ def oracle_scan(p: RelativePair, grid: int = DEFAULT_GRID) -> OracleResult:
     return OracleResult(True, margin, g_best, point, float(g_lo), float(g_hi), profile.calls, profile.columns)
 
 
-def oracle_coexistent(A: BlochEffect, B: BlochEffect, grid: int = DEFAULT_GRID) -> OracleResult:
+def oracle_coexistent(A: BlochEffect, B: BlochEffect) -> OracleResult:
     """Decide coexistence of two effects by brute-force disk feasibility."""
     pair, _ = relative_pair(A, B)
-    return oracle_scan(pair, grid)
+    return oracle_scan(pair)
 

@@ -195,7 +195,7 @@ def suite_special_cases(n: int, seed: int) -> SuiteResult:
     return SuiteResult("special-cases", checked, violations, skipped, worst)
 
 
-def suite_oracle_agreement(n: int, seed: int, grid: int) -> SuiteResult:
+def suite_oracle_agreement(n: int, seed: int) -> SuiteResult:
     """Brute-force oracle agrees with the classification outside the margin band.
 
     Pairs whose oracle margin is within ``BOUNDARY_BAND`` of zero are skipped.
@@ -210,7 +210,7 @@ def suite_oracle_agreement(n: int, seed: int, grid: int) -> SuiteResult:
     for _ in range(n):
         A, B = random_effect_pair(rng)
         pair, _ = relative_pair(A, B)
-        result = oracle_scan(pair, grid)
+        result = oracle_scan(pair)
         if abs(result.margin) < BOUNDARY_BAND:
             skipped += 1
             continue
@@ -221,7 +221,7 @@ def suite_oracle_agreement(n: int, seed: int, grid: int) -> SuiteResult:
     return SuiteResult("oracle-agreement", checked, violations, skipped, worst)
 
 
-def run_all(n: int, seed: int, oracle_grid: int) -> list[SuiteResult]:
+def run_all(n: int, seed: int) -> list[SuiteResult]:
     """All suites with per-suite seeds derived deterministically from ``seed``."""
     return [
         suite_complement_invariance(n, seed),
@@ -229,5 +229,5 @@ def run_all(n: int, seed: int, oracle_grid: int) -> list[SuiteResult]:
         suite_convex_combination(n, seed + 2),
         suite_scaling(n, seed + 3),
         suite_special_cases(n, seed + 4),
-        suite_oracle_agreement(max(50, n // 10), seed + 5, grid=oracle_grid),
+        suite_oracle_agreement(max(50, n // 10), seed + 5),
     ]

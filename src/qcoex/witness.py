@@ -319,6 +319,18 @@ def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
     verdict = classify(pair)
     if not verdict.coexistent:
         return None
+    wt = _unchecked_witness(A, B, pair, report, verdict)
+    check = operator_inequalities_hold(A, B, wt)
+    if not check.holds:
+        raise WitnessError(
+            "pair classified coexistent but its witness fails the operator "
+            f"constraints: residuals={check.residuals}"
+        )
+    return wt
+
+
+def _unchecked_witness(A: BlochEffect, B: BlochEffect, pair, report, verdict) -> Witness:
+    """find_witness's candidate, unchecked, from ``relative_pair(A, B)`` and a coexistent ``classify``."""
     # a complement (2 - alpha, -avec) only negates the vector, exactly, so
     # none is built; pair.alpha is the trace coefficient of A or of 1 - A
     a_eff = [-x for x in A.avec] if report.complemented_a else A.avec
@@ -332,14 +344,7 @@ def find_witness(A: BlochEffect, B: BlochEffect) -> Witness | None:
     if report.complemented_a:
         # swap outcomes (1,3) and (2,4): new first outcome is B - G1
         g, v = B.alpha - g, [x - y for x, y in zip(B.avec, v)]
-    wt = Witness(g, v)
-    check = operator_inequalities_hold(A, B, wt)
-    if not check.holds:
-        raise WitnessError(
-            "pair classified coexistent but its witness fails the operator "
-            f"constraints: residuals={check.residuals}"
-        )
-    return wt
+    return Witness(g, v)
 
 
 def assemble_observable(A: BlochEffect, B: BlochEffect, wt: Witness) -> WitnessObservable:

@@ -85,7 +85,7 @@ def test_criterion_2_special_case_equivalence():
 def test_criterion_3_oracle_agreement():
     start = time.perf_counter()
     assert BOUNDARY_BAND == 1e-6
-    result = suite_oracle_agreement(1000, seed=2025, grid=10_000)
+    result = suite_oracle_agreement(1000, seed=2025)
     elapsed = time.perf_counter() - start
     assert result.violations == 0
     assert result.checked + result.skipped == 1000

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qcoex.cli import EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, PRESETS, dumps, main
-from qcoex.witness import WitnessError
+from qcoex.witness import Witness
 
 SQRT3_INV = 1.0 / math.sqrt(3.0)
 
@@ -264,15 +264,18 @@ class TestDecideErrors:
         assert payload["witness"] is None
 
     def test_internal_failure_has_its_own_exit_code(self, capsys, monkeypatch):
-        # a failure inside the library must not read as "not coexistent"
+        # a failure inside the library must not read as "not coexistent": a
+        # witness that fails its one check, in assemble_observable
         def broken(*args, **kwargs):
-            raise WitnessError("no witness")
+            return Witness(2.0, (0.0, 0.0, 0.0))
 
-        monkeypatch.setattr("qcoex.cli.find_witness", broken)
-        code, out, err = run(capsys, ["decide", FIG_A, FIG_B, "--witness"])
-        assert code == EXIT_INTERNAL
-        assert out == ""
-        assert err == "error: internal: WitnessError: no witness\n"
+        monkeypatch.setattr("qcoex.cli._unchecked_witness", broken)
+        for argv in (["decide", FIG_A, FIG_B, "--witness"], ["witness", FIG_A, FIG_B]):
+            code, out, err = run(capsys, argv)
+            assert code == EXIT_INTERNAL
+            assert out == ""
+            assert err.startswith("error: internal: ValueError: witness fails the operator constraints")
+            assert err.count("\n") == 1
 
 
 class TestBoundary:
@@ -370,6 +373,22 @@ class TestWitnessCommand:
         assert code == EXIT_NEGATIVE
         assert json.loads(out) == {"coexistent": False, "witness": None}
 
+    @pytest.mark.parametrize("command", [["decide", "--witness"], ["witness"]])
+    def test_one_reduction_and_one_check_per_request(self, capsys, monkeypatch, command):
+        calls = {"relative_pair": 0, "classify": 0, "operator_inequalities_hold": 0}
+        for target in ("qcoex.cli.relative_pair", "qcoex.cli.classify", "qcoex.witness.operator_inequalities_hold"):
+            module, name = target.rsplit(".", 1)
+            inner = getattr(sys.modules[module], name)
+
+            def counted(*args, _name=name, _inner=inner):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(target, counted)
+        code, _, err = run(capsys, [command[0], FIG_A, FIG_B, *command[1:]])
+        assert (code, err) == (EXIT_OK, "")
+        assert calls == {"relative_pair": 1, "classify": 1, "operator_inequalities_hold": 1}
+
 
 class TestSharpnessCommand:
     def test_value(self, capsys):
@@ -412,7 +431,7 @@ class TestSharpnessCommand:
 
 class TestSelftest:
     def test_small_run_passes(self, capsys):
-        code, out, _ = run(capsys, ["selftest", "--samples", "40", "--seed", "1", "--grid", "400"])
+        code, out, _ = run(capsys, ["selftest", "--samples", "40", "--seed", "1"])
         assert code == EXIT_OK
         assert "selftest: PASS" in out
         assert out.count("violations=0") >= 6
@@ -422,9 +441,6 @@ class TestSelftest:
         [
             ("--samples", "-3"),
             ("--seed", "-1"),
-            ("--grid", "10"),
-            ("--grid", "1000001"),
-            ("--grid", "10000000000"),
         ],
     )
     def test_bad_argument_is_an_input_error(self, capsys, option, value):
@@ -432,6 +448,13 @@ class TestSelftest:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith(f"error: selftest: {option} must be ")
+
+    def test_grid_is_not_an_option(self, capsys):
+        # every oracle scan searches the one grid of oracle.GRID_STEPS steps
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--grid", "400"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --grid 400" in capsys.readouterr().err
 
 
 class TestDeterminism:

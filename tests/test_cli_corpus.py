@@ -5,8 +5,11 @@
 (seed 7), each as drawn and with either effect complemented; the README's
 ``decide --witness --oracle`` pair; a 1e-160 Bloch vector; ``sharpness`` on
 three admitted matrices past the Bloch bound; the four boundary presets in
-CSV and JSON at 16 samples; and one small ``selftest``.  A refactor that
-keeps every CLI byte passes it unchanged.
+CSV and JSON at 16 samples; one small ``selftest``; and ``decide --oracle``
+on a non-coexistent pair (orthogonal sharp projections), on a pair feasible
+only between grid gammas (``test_oracle.THIN``) and on a zero effect, where
+the gamma range is the single point 0.  A refactor that keeps every CLI
+byte passes it unchanged.
 """
 
 import json

@@ -377,6 +377,11 @@ class TestBoundaryCurve:
         with pytest.raises(ValueError, match="n_samples"):
             boundary_curve(0.6, 0.5, 0.9, 100_001)
 
+    @pytest.mark.parametrize("n", [20.0, 256.5, True, "256", None])
+    def test_rejects_a_count_that_is_not_an_int(self, n):
+        with pytest.raises(ValueError, match="n_samples must be between 16 and 100000"):
+            boundary_curve(0.6, 0.5, 0.9, n_samples=n)
+
     @pytest.mark.parametrize("n,per_source", [(16, 100), (256, 50), (100_000, 1)])
     def test_array_path_matches_scalar_loop(self, n, per_source):
         junction_curves = 0

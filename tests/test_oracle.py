@@ -11,8 +11,8 @@ import workloads
 from qcoex.bloch import BlochEffect, RelativePair, effect_from_bloch, relative_pair
 from qcoex.coexist import by_max, classify
 from qcoex.oracle import (
+    GRID_STEPS,
     _CELLS,
-    _MAX_GRID,
     _centers,
     _geometry,
     _minimax,
@@ -289,13 +289,13 @@ THIN = RelativePair(0.6, 0.5, 0.9, 0.123, by_max(0.6, 0.5, 0.9, 0.123))
 class TestOracleScan:
     def test_c1_pair_feasible(self):
         p = RelativePair(0.6, 0.5, 0.6, 0.1, 0.4)
-        res = oracle_scan(p, 500)
+        res = oracle_scan(p)
         assert res.coexistent
         assert res.margin < 0.0
         assert res.gamma_lo is not None and res.gamma_lo <= res.gamma <= res.gamma_hi
 
     def test_orthogonal_projections_positive_margin(self):
-        res = oracle_scan(RelativePair(1.0, 1.0, 1.0, 0.0, 1.0), 500)
+        res = oracle_scan(RelativePair(1.0, 1.0, 1.0, 0.0, 1.0))
         assert not res.coexistent
         assert res.margin > 1e-3
 
@@ -303,7 +303,7 @@ class TestOracleScan:
         alpha, a, beta, bx = 0.6, 0.5, 1.0, 0.0
         by = by_max(alpha, a, beta, bx)
         p = RelativePair(alpha, a, beta, bx, by)
-        res = oracle_scan(p, 10_000)
+        res = oracle_scan(p)
         assert res.coexistent
         assert abs(res.margin) < 1e-6
         # the feasible interval is thinner than one grid step here
@@ -330,7 +330,7 @@ class TestOracleScan:
             raise AssertionError("the scan made a per-gamma check")
 
         monkeypatch.setattr("qcoex.oracle.disks_feasible", refuse)
-        results = [oracle_scan(p, 10_000) for p in pairs]
+        results = [oracle_scan(p) for p in pairs]
         monkeypatch.undo()
         assert results[-1].coexistent
         for p, res in zip(pairs, results):
@@ -396,7 +396,7 @@ class TestOracleScan:
             if margin > BOUNDARY_TOL:
                 lo, hi = gammas[max(k - 1, 0)], gammas[min(k + 1, 10_000)]
                 margin = min(margin, multisection(_Profile(p), lo, hi, 1e-16)[1])
-            res = oracle_scan(p, 10_000)
+            res = oracle_scan(p)
             assert res.coexistent == (margin <= BOUNDARY_TOL)
             assert abs(res.margin - margin) <= 1e-15
             if not res.coexistent:
@@ -428,7 +428,7 @@ class TestOracleScan:
         for pairs, calls, cols in sets:
             for p in pairs:
                 columns.clear()
-                res = oracle_scan(p, 10_000)
+                res = oracle_scan(p)
                 assert (res.kernel_calls, res.columns) == (len(columns), sum(columns))
                 assert res.kernel_calls <= calls
                 assert res.columns <= cols
@@ -448,7 +448,6 @@ class TestOracleScan:
 
     def test_full_length_interval_matches_closed_form(self):
         rng = np.random.default_rng(31)
-        grid = 2000
         checked = 0
         while checked < 40:
             alpha = 0.2 + 0.8 * rng.random()
@@ -457,8 +456,8 @@ class TestOracleScan:
             theta = rng.uniform(0.2, math.pi - 0.2)
             p = RelativePair(alpha, a, beta, beta * math.cos(theta), beta * math.sin(theta))
             interval = gamma_interval_2ci(p)
-            res = oracle_scan(p, grid)
-            tol = 2.0 * min(alpha, beta) / grid
+            res = oracle_scan(p)
+            tol = 2.0 * min(alpha, beta) / GRID_STEPS
             if interval is None:
                 assert not res.coexistent or abs(res.margin) < 1e-9
                 continue
@@ -471,23 +470,8 @@ class TestOracleScan:
             assert res.gamma_hi == pytest.approx(hi, abs=tol)
 
     def test_trivial_zero_effect(self):
-        res = oracle_scan(RelativePair(0.0, 0.0, 0.9, 0.3, 0.0), 500)
+        res = oracle_scan(RelativePair(0.0, 0.0, 0.9, 0.3, 0.0))
         assert res.coexistent
-
-    def test_grid_validation(self):
-        # too small, not an int (a float, even a whole one), a bool
-        for grid in (10, 100.5, 1000.0, True):
-            with pytest.raises(ValueError, match="grid must be between"):
-                oracle_scan(RelativePair(0.6, 0.5, 0.6, 0.0, 0.1), grid)
-
-    @pytest.mark.parametrize("grid", [_MAX_GRID + 1, 10**10])
-    def test_grid_above_bound_rejected_before_any_work(self, grid, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the grid was built")
-
-        monkeypatch.setattr("qcoex.oracle.np.linspace", refuse)
-        with pytest.raises(ValueError, match="grid"):
-            oracle_scan(RelativePair(0.6, 0.5, 0.6, 0.0, 0.1), grid)
 
 
 # near-boundary oracle pair 66 of seed 1: nearly parallel, with a small by
@@ -633,15 +617,15 @@ class TestOracleCoexistent:
     def test_effect_level_entry_points(self):
         A = effect_from_bloch(1.0, (0.0, 0.0, 1.0))
         B = effect_from_bloch(1.0, (0.0, 1.0, 0.0))
-        assert not oracle_coexistent(A, B, 500).coexistent
+        assert not oracle_coexistent(A, B).coexistent
         C = effect_from_bloch(0.6, (0.5, 0.0, 0.0))
         D = effect_from_bloch(0.6, (0.0, 0.6, 0.0))
-        assert oracle_coexistent(C, D, 500).coexistent
+        assert oracle_coexistent(C, D).coexistent
 
     def test_handles_complemented_inputs(self):
         A = effect_from_bloch(1.4, (-0.5, 0.0, 0.0))
         B = effect_from_bloch(0.6, (0.0, 0.6, 0.0))
-        assert oracle_coexistent(A, B, 500).coexistent
+        assert oracle_coexistent(A, B).coexistent
 
 
 class TestRandomGeneration:
@@ -662,20 +646,20 @@ class TestRandomGeneration:
 
 class TestAgreementSweep:
     def test_small_sweep_agrees(self):
-        result = suite_oracle_agreement(60, seed=41, grid=1500)
+        result = suite_oracle_agreement(60, seed=41)
         assert result.violations == 0
         assert result.checked + result.skipped == 60
 
     def test_deterministic(self):
-        r1 = suite_oracle_agreement(20, seed=5, grid=500)
-        r2 = suite_oracle_agreement(20, seed=5, grid=500)
+        r1 = suite_oracle_agreement(20, seed=5)
+        r2 = suite_oracle_agreement(20, seed=5)
         assert r1 == r2
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError):
-            suite_oracle_agreement(0, seed=1, grid=500)
+            suite_oracle_agreement(0, seed=1)
 
     def test_injected_noncommuting_projections_agree_on_false(self):
         p = RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)
-        res = oracle_scan(p, 1000)
+        res = oracle_scan(p)
         assert res.coexistent == classify(p).coexistent == False  # noqa: E712
