@@ -107,8 +107,9 @@ def _root(q):
         return math.sqrt(max(q, 0.0))
     import numpy as np
 
-    if np.any(q < -ROOT_TOL):
-        raise ArithmeticError(f"square-root argument out of range: {float(q.min())!r}")
+    low = q.min()
+    if low < -ROOT_TOL:
+        raise ArithmeticError(f"square-root argument out of range: {float(low)!r}")
     return np.sqrt(np.maximum(q, 0.0))
 
 

@@ -52,12 +52,13 @@ def _radii(p: RelativePair, gammas):
 def _geometry(centers: np.ndarray) -> tuple:
     """Per-pair constants of _minimax, which depend on the centers and not on gamma.
 
-    Returns the centers (4, 2); the indices i, j (2, n) of the n pairs of
-    distinct centers, with c_i, the unit vector from c_i to c_j and their
-    distance, (5, n, 1); and the indices i, j, k (3, t) of the t triples of
-    non-collinear centers, with c_i, det M times the columns of M^-1
-    (m11, -m10, -m01, m00), det M and |c_j|^2 - |c_i|^2, |c_k|^2 - |c_i|^2,
-    (9, t, 1), where M is the matrix of the triple's linear system.
+    Returns the kernel's operands, already sliced: the centers' coordinates
+    (2, 4, 1) and (2, 4, 1, 1); for the n pairs of distinct centers, indices
+    i, j (2, n), distance (n, 1), c_i and the unit vector to c_j (2, n, 1);
+    for the t triples of non-collinear centers, indices i, j, k (3, t), det M
+    times the columns of M^-1, (m11, -m10) and (-m01, m00), (2, 2, t, 1), det
+    M (t, 1), c_i and (|c_j|^2 - |c_i|^2, |c_k|^2 - |c_i|^2) (2, t, 1), where
+    M is the matrix of the triple's linear system; and n and t.
     """
     pairs, balance = [], []
     for i, j in _PAIRS:
@@ -80,12 +81,13 @@ def _geometry(centers: np.ndarray) -> tuple:
             continue
         triples.append((i, j, k))
         systems.append((*ci, m11, -m10, -m01, m00, det, float(cj @ cj - ci @ ci), float(ck @ ck - ci @ ci)))
+    xy = centers.T[..., None]
+    balance = np.array(balance).reshape(-1, 5).T[..., None]
+    systems = np.array(systems).reshape(-1, 9).T[..., None]
     return (
-        centers,
-        np.array(pairs, dtype=np.intp).reshape(-1, 2).T,
-        np.array(balance).reshape(-1, 5).T[..., None],
-        np.array(triples, dtype=np.intp).reshape(-1, 3).T,
-        np.array(systems).reshape(-1, 9).T[..., None],
+        *(xy, xy[..., None], np.array(pairs, dtype=np.intp).reshape(-1, 2).T, balance[4], balance[:2], balance[2:4]),
+        *(np.array(triples, dtype=np.intp).reshape(-1, 3).T, systems[2:6].reshape(2, 2, -1, 1), systems[6]),
+        *(systems[:2], systems[7:9], len(pairs), len(triples)),
     )
 
 
@@ -104,52 +106,59 @@ def _minimax(geometry: tuple, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray
     centers, the 6 balance points and the 8 triple points: the minimum
     found is the exact minimax, and the system is feasible exactly when it
     is <= 0.  Each step forms all balance or all triple points at once, in
-    one array operation over (x, y), candidates and columns.
+    one array operation over (x, y), candidates and columns, and writes
+    them in place into one candidate array.  A triple's linear root is
+    formed only when some column needs it, which moves no column's bits.
     Returns that minimum, shape (m,), and the point attaining it, (m, 2).
     """
-    centers, pairs, balance, triples, systems = geometry
+    xy0, centers, pairs, dist0, start, unit, triples, inverse, det, base, shift, n_pairs, n_triples = geometry
     m = radii.shape[1]
+    # candidates in order: centers, balance points, triple points, (2, c, m)
+    xy = np.empty((2, 4 + n_pairs + 2 * n_triples, m))
+    xy[:, :4] = xy0
     with np.errstate(invalid="ignore", divide="ignore"):
         # balance point on the segment between the centers, (2, n, m)
-        i, j = pairs
-        s = (balance[4] + radii[i] - radii[j]) / 2.0
-        halfway = balance[:2] + s * balance[2:4]
+        r = radii[pairs]
+        halfway = xy[:, 4 : 4 + n_pairs]
+        np.multiply((dist0 + r[0] - r[1]) / 2.0, unit, out=halfway)
+        halfway += start
 
-        # triple points g = g0 + t g1, (2, t, m), with t a root of a quadratic
-        i, j, k = triples
-        e1, e2 = systems[2:6].reshape(2, 2, -1, 1)
-        det = systems[6]
-        ri, rj, rk = radii[i], radii[j], radii[k]
-        u1 = systems[7] + ri * ri - rj * rj
-        u2 = systems[8] + ri * ri - rk * rk
-        g0 = (e1 * u1 + e2 * u2) / det
-        g1 = (e1 * (2.0 * (ri - rj)) + e2 * (2.0 * (ri - rk))) / det
-        w0 = g0 - systems[:2]
-        qa = (g1 * g1).sum(axis=0) - 1.0
-        qb = 2.0 * ((w0 * g1).sum(axis=0) - ri)
-        qc = (w0 * w0).sum(axis=0) - ri * ri
+        # triple points g = g0 + t g1, (2, t, m), with t a root of a quadratic;
+        # g0 and g1 from one product (g0|g1, u1|u2, x|y, t, m) summed over
+        # u1|u2: a sum over a length-2 axis is exactly a + b
+        r = radii[triples]
+        r2 = r * r
+        u = np.empty((2, 2, n_triples, m))
+        u[0] = shift + r2[0] - r2[1:]
+        u[1] = 2.0 * (r[0] - r[1:])
+        g = inverse * u[:, :, None]
+        g0, g1 = (g[:, 0] + g[:, 1]) / det
+        w0 = g0 - base
+        gg, wg, ww = g1 * g1, w0 * g1, w0 * w0
+        qa = gg[0] + gg[1] - 1.0
+        qb = 2.0 * (wg[0] + wg[1] - r[0])
+        qc = ww[0] + ww[1] - r2[0]
         disc = qb * qb - 4.0 * qa * qc
         sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
-        linear = np.abs(qa) < DEGENERATE_TOL
-        t_lin = np.where(np.abs(qb) > DEGENERATE_TOL, -qc / np.where(qb != 0.0, qb, 1.0), np.nan)
         # both roots of each triple, (t, 2, m): the root with +sq first
-        root = (-qb[:, None] + _ROOTS * sq[:, None]) / (2.0 * np.where(linear, 1.0, qa))[:, None]
-        t = np.where(linear[:, None], t_lin[:, None], root)
-        triple = (g0[:, :, None] + t * g1[:, :, None]).reshape(2, -1, m)
-
-        # candidates in order: centers, balance points, triple points, (2, c, m)
-        xy = np.concatenate([np.broadcast_to(centers.T[..., None], (2, 4, m)), halfway, triple], axis=1)
+        root = (_ROOTS * sq[:, None] - qb[:, None]) / (2.0 * qa)[:, None]
+        linear = np.abs(qa) < DEGENERATE_TOL
+        if linear.any():
+            t_lin = np.where(np.abs(qb) > DEGENERATE_TOL, -qc / np.where(qb != 0.0, qb, 1.0), np.nan)
+            root = np.where(linear[:, None], t_lin[:, None], root)
+        triple = xy[:, 4 + n_pairs :].reshape(2, n_triples, 2, m)
+        np.multiply(root, g1[:, :, None], out=triple)
+        triple += g0[:, :, None]
 
     # the violations of every candidate, (4, c, m)
-    dist = xy[:, None] - centers.T[:, :, None, None]
+    dist = xy[:, None] - centers
     dist *= dist
-    dist = dist.sum(axis=0)
+    dist = dist[0] + dist[1]
     np.sqrt(dist, out=dist)
     dist -= radii[:, None]
     worst = dist.max(axis=0)
     worst[~np.isfinite(worst)] = np.inf
-    best = worst.argmin(axis=0)
-    cols = np.arange(m)
+    best, cols = worst.argmin(axis=0), np.arange(m)
     return worst[best, cols], xy[:, best, cols].T
 
 
@@ -293,14 +302,17 @@ def _search(
     """
     rows = np.arange(lo.size)
     whole = grid is not None
+    signed = sign.any()
     extra = None
     for _ in range(64):  # each step shrinks every bracket at least 16-fold
-        last = np.max(hi - lo) <= tol
+        span = hi - lo
+        width = span.max()
+        last = width <= tol
         if last and whole:
             # every index once, the end repeated in a shorter bracket
-            at = lo[:, None] + np.minimum(np.arange(np.max(hi - lo) + 1), (hi - lo)[:, None])
+            at = lo[:, None] + np.minimum(np.arange(width + 1), span[:, None])
         else:
-            at = lo[:, None] + (hi - lo)[:, None] * _STEPS
+            at = lo[:, None] + span[:, None] * _STEPS
             at[:, -1] = hi
             if extra is not None:
                 at = np.concatenate((at, extra[:, None]), axis=1)
@@ -309,11 +321,9 @@ def _search(
                 at = at.astype(np.intp)  # exact: integer ends, dyadic steps
         values, points = profile((grid[at] if whole else at).ravel())
         values = values.reshape(at.shape)
-        key = np.where(
-            sign[:, None] == 0.0,
-            values,
-            np.where(values <= BOUNDARY_TOL, sign[:, None] * at, np.inf),
-        )
+        key = values
+        if signed:
+            key = np.where(sign[:, None] == 0.0, values, np.where(values <= BOUNDARY_TOL, sign[:, None] * at, np.inf))
         best = key.argmin(axis=1)
         if last:
             break

@@ -25,7 +25,7 @@ from qcoex.oracle import (
     oracle_scan,
 )
 from qcoex.selftest import random_effect, random_effect_pair, suite_oracle_agreement
-from qcoex.tolerance import BOUNDARY_TOL, CONVEXITY_TOL, ENDPOINT_TOL, MINIMUM_TOL
+from qcoex.tolerance import BOUNDARY_TOL, CONVEXITY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL
 from qcoex.witness import gamma_interval_2ci
 
 SQRT3_INV = 1.0 / math.sqrt(3.0)
@@ -139,6 +139,29 @@ DEGENERATE = [
 ]
 
 
+def linear_root_system():
+    """Unit-square centers; in every third column triple (0, 1, 2)'s quadratic is linear.
+
+    There r1 = r0 + 0.6 and r2 = r0 + 0.8, so the triple point moves along
+    (-0.6, -0.8), at unit speed, as its three violations grow: qa =
+    |g1|^2 - 1 is 0 to roundoff, and the one root, that of the linear
+    equation, is the minimax point.
+    """
+    centers = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    radii = np.random.default_rng(11).uniform(0.1, 1.5, (4, 12))
+    s = np.arange(1, 5) / 4.0
+    radii[:3, ::3] = s, s + 0.6, s + 0.8
+    radii[3, ::3] = 3.0
+    return centers, radii
+
+
+def triple_qa(centers: np.ndarray, radii: np.ndarray, i: int, j: int, k: int) -> np.ndarray:
+    """Leading coefficient |g1|^2 - 1 of triple (i, j, k)'s quadratic, per column, by a linear solve."""
+    m = 2.0 * np.array([centers[j] - centers[i], centers[k] - centers[i]])
+    g1 = np.linalg.solve(m, 2.0 * np.array([radii[i] - radii[j], radii[i] - radii[k]]))
+    return (g1 * g1).sum(axis=0) - 1.0
+
+
 def kernel_systems(seed: int):
     rng = np.random.default_rng(seed)
     yield from rounded_disk_systems(rng, True, 60, 33)
@@ -177,6 +200,22 @@ class TestMinimaxKernel:
                 sub_values, sub_points = _minimax(geometry, radii[:, cols])
                 assert sub_values.tobytes() == values[cols].tobytes()
                 assert sub_points.tobytes() == points[cols].tobytes()
+
+        # the kernel takes a triple's linear root (|qa| < DEGENERATE_TOL) only
+        # when some column of the call needs it; here a third of the columns
+        # do, and every column reads alone what it reads among them
+        centers, radii = linear_root_system()
+        linear = np.abs(triple_qa(centers, radii, 0, 1, 2)) < DEGENERATE_TOL
+        assert linear.any() and not linear.all()
+        values, points = _minimax(_geometry(centers), radii)
+        for col in np.flatnonzero(linear):
+            x, y = points[col]
+            violations = [math.hypot(x - cx, y - cy) - r for (cx, cy), r in zip(centers[:3], radii[:3, col])]
+            assert max(violations) - min(violations) <= 1e-15
+        for col in range(radii.shape[1]):
+            one_value, one_point = _minimax(_geometry(centers), radii[:, [col]])
+            assert one_value.tobytes() == values[[col]].tobytes()
+            assert one_point.tobytes() == points[[col]].tobytes()
 
 
 class TestDisksFeasible:
