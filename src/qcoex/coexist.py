@@ -100,7 +100,10 @@ def _tip_gap(alpha: float, a: float, beta: float, b0: float, w: float, side: flo
 
 
 def _root(q):
-    """Root of a cap radicand, a float (math) or an array (numpy); 0 down to -ROOT_TOL, below it raises."""
+    """Root of a cap radicand, a float (math) or an array (numpy); 0 down to -ROOT_TOL, below it raises.
+
+    An array is consumed: it is clamped and rooted in place and returned.
+    """
     if isinstance(q, float):
         if q < -ROOT_TOL:
             raise ArithmeticError(f"square-root argument out of range: {q!r}")
@@ -110,7 +113,8 @@ def _root(q):
     low = q.min()
     if low < -ROOT_TOL:
         raise ArithmeticError(f"square-root argument out of range: {float(low)!r}")
-    return np.sqrt(np.maximum(q, 0.0))
+    np.maximum(q, 0.0, out=q)
+    return np.sqrt(q, out=q)
 
 
 def _cap(alpha: float, a: float, beta: float, bx, b0: float):
@@ -230,14 +234,53 @@ class BoundaryCurve(NamedTuple):
     __hash__ = object.__hash__
 
 
+def _grid(beta: float, n: int) -> np.ndarray:
+    """``np.linspace(-beta, beta, n)`` bit for bit, without its set-up cost.
+
+    linspace forms ``k * step - beta`` and sets the last sample to ``beta``.
+    When the step underflows to 0 it scales differently, and a numpy
+    ``beta`` narrower than float64 sets its dtype, so there its own result
+    is kept.
+    """
+    import numpy as np
+
+    step = (beta + beta) / (n - 1)
+    if step == 0.0 or not isinstance(step, float):
+        return np.linspace(-beta, beta, n)
+    xs = np.arange(n, dtype=float)
+    xs *= step
+    xs -= beta
+    xs[-1] = beta
+    return xs
+
+
+def _with_junctions(xs: np.ndarray, beta: float, b0: float, w: float) -> np.ndarray:
+    """The sorted samples ``xs`` with the junctions ``b0 -/+ w`` inside (-beta, beta) put in place.
+
+    A junction equal to a sample or to the other junction is dropped, as
+    ``np.unique`` drops duplicates; nothing is sorted again.
+    """
+    import numpy as np
+
+    junctions = [x for x in dict.fromkeys((b0 - w, b0 + w)) if -beta < x < beta]
+    pieces, start = [], 0
+    for x, i in zip(junctions, xs.searchsorted(junctions).tolist()):
+        if xs[i] != x:  # xs[0] = -beta < x < beta = xs[-1], so i indexes a sample
+            pieces += (xs[start:i], (x,))
+            start = i
+    return np.concatenate((*pieces, xs[start:])) if pieces else xs
+
+
 def boundary_curve(
     alpha: float, a: float, beta: float, n_samples: int = 256
 ) -> BoundaryCurve:
     """Sample the allowed-region boundary over bx in [-beta, beta].
 
+    The samples are ``np.linspace(-beta, beta, n_samples)``, bit for bit.
     The junction points b0 +/- w are always inserted exactly when they fall
     inside the sampling range, so continuity across them is observable in
-    the output.
+    the output; a junction equal to a sample or to the other junction is
+    not repeated.
 
     Raises:
         ValueError: for parameters outside their ranges, or ``n_samples``
@@ -252,19 +295,21 @@ def boundary_curve(
 
     interval = _restricted_interval(alpha, a, beta, sharpness_scalar(alpha, a))
     b0, w = interval or (None, None)
-    xs = np.linspace(-beta, beta, n_samples)
+    xs = _grid(beta, n_samples)
     lo = hi = 0  # the capped samples: one run, since xs is sorted
     if interval is not None:
-        junctions = [x for x in (b0 - w, b0 + w) if -beta < x < beta]
-        if junctions:
-            xs = np.unique(np.concatenate([xs, np.asarray(junctions)]))
+        xs = _with_junctions(xs, beta, b0, w)
         # strictly inside: the junction samples stay on the circle
-        capped = np.flatnonzero(np.abs(xs - b0) < w - BOUNDARY_TOL)
-        if capped.size:
-            lo, hi = int(capped[0]), int(capped[-1]) + 1
-    rs = np.full(xs.shape, float(beta))
+        dist = xs - b0
+        np.abs(dist, out=dist)
+        capped = dist < w - BOUNDARY_TOL
+        lo = int(capped.argmax())  # 0 when no sample is capped
+        if capped[lo]:
+            hi = capped.size - int(capped[::-1].argmax())
+    rs = np.empty(xs.shape)
+    rs.fill(beta)
     if hi > lo:
-        rs[lo:hi] = np.hypot(xs[lo:hi], _cap(alpha, a, beta, xs[lo:hi], b0))
+        np.hypot(xs[lo:hi], _cap(alpha, a, beta, xs[lo:hi], b0), out=rs[lo:hi])
     tags = (ARC_CIRCLE,) * lo + (ARC_CURVE,) * (hi - lo) + (ARC_CIRCLE,) * (xs.size - hi)
     rs.setflags(write=False)
     xs.setflags(write=False)

@@ -16,8 +16,10 @@ from qcoex.coexist import (
     C2,
     C3,
     TRIVIAL_PARALLEL,
+    _grid,
     _interval,
     _root,
+    _with_junctions,
     boundary_curve,
     by_max,
     classify,
@@ -412,6 +414,62 @@ class TestBoundaryCurve:
         curve = boundary_curve(0.6, 0.5, 0.9, 256)
         assert curve.regime.count(ARC_CURVE) > 100
         assert classify(RelativePair(0.6, 0.5, 0.9, 0.1, 0.3)).regime == C3
+
+    @pytest.mark.parametrize("n", [16, 17, 255, 256, 257, 100_000])
+    @pytest.mark.parametrize(
+        "beta", [5e-324, 1e-322, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-12, 0.3, 1.0]
+    )
+    def test_grid_is_linspace_bits(self, beta, n):
+        # bytes, so that the sign of every zero counts too
+        assert _grid(beta, n).tobytes() == np.linspace(-beta, beta, n).tobytes()
+
+    @pytest.mark.parametrize("beta", [np.float32(0.9), np.float64(0.9), 1])
+    def test_grid_keeps_linspace_dtype(self, beta):
+        want = np.linspace(-beta, beta, 256)
+        got = _grid(beta, 256)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "case,beta,n,b0,w",
+        [
+            # b0 - w is the sample xs[40] exactly; b0 + w is not a sample
+            ("on-a-sample", 0.9, 256, (-0.9 + 40 * (1.8 / 255)) + 0.5, 0.5),
+            ("equal-junctions", 0.9, 256, 0.123, 0.0),
+            ("one-at-a-tip", 0.75, 256, 0.25, 0.5),  # b0 + w = beta: dropped
+            ("both-at-the-tips", 0.75, 256, 0.0, 0.75),  # xs unchanged
+            ("equal-on-a-sample", 0.3, 257, 0.0, 0.0),  # both equal to the sample 0.0
+        ],
+    )
+    def test_junction_insertion_matches_unique(self, case, beta, n, b0, w):
+        xs = _grid(beta, n)
+        if case == "on-a-sample":
+            assert b0 - w == xs[40]
+        junctions = [x for x in (b0 - w, b0 + w) if -beta < x < beta]
+        want = np.unique(np.concatenate([xs, np.asarray(junctions)])) if junctions else xs
+        assert _with_junctions(xs, beta, b0, w).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [17, 257, 100_001])
+    def test_negative_zero_junction_keeps_the_sample(self, n):
+        # b0 = (1 - alpha)(1 - beta)/a and w are never -0.0, so neither is a
+        # junction of boundary_curve; this pins the helper on a crafted case.
+        # np.unique kept the junction's -0.0 at 17 and 100 001 samples and the
+        # sample's 0.0 at 257 (numpy 2.4.6); the samples keep their own 0.0.
+        xs = _grid(0.3, n)
+        assert xs[n // 2] == 0.0 and not np.signbit(xs[n // 2])
+        got = _with_junctions(xs, 0.3, -0.0, 0.0)
+        assert got.tobytes() == xs.tobytes()
+        assert np.array_equal(got, np.unique(np.concatenate([xs, [-0.0, 0.0]])))
+
+    def test_needs_no_linspace_unique_or_flatnonzero(self, monkeypatch):
+        def slow_path(*args, **kwargs):
+            raise AssertionError("boundary_curve took numpy's set-up-heavy path")
+
+        for name in ("linspace", "unique", "flatnonzero"):
+            monkeypatch.setattr(np, name, slow_path)
+        restricted = boundary_curve(0.6, 0.5, 0.9, 256)
+        assert restricted.bx.size == 258 and ARC_CURVE in restricted.regime
+        full = boundary_curve(0.6, 0.5, 0.6, 256)
+        assert full.b0 is None and full.bx.size == 256
 
 
 class TestSpecialCases:
