@@ -103,6 +103,7 @@ def _root(q):
     """Root of a cap radicand, a float (math) or an array (numpy); 0 down to -ROOT_TOL, below it raises.
 
     An array is consumed: it is clamped and rooted in place and returned.
+    A numpy scalar (from numpy parameters) gets a new numpy scalar.
     """
     if isinstance(q, float):
         if q < -ROOT_TOL:
@@ -113,8 +114,8 @@ def _root(q):
     low = q.min()
     if low < -ROOT_TOL:
         raise ArithmeticError(f"square-root argument out of range: {float(low)!r}")
-    np.maximum(q, 0.0, out=q)
-    return np.sqrt(q, out=q)
+    out = q if isinstance(q, np.ndarray) else None
+    return np.sqrt(np.maximum(q, 0.0, out=out), out=out)
 
 
 def _cap(alpha: float, a: float, beta: float, bx, b0: float):

@@ -285,6 +285,12 @@ class TestByMax:
             _root(np.array([-1e-8, 0.25]))
         assert str(info.value) == "square-root argument out of range: -1e-08"
 
+    def test_numpy_scalar_parameters_keep_numpy_scalar_caps(self):
+        # the cap's radicands are then numpy scalars, which _root may not write into
+        assert repr(by_max(0.6, 0.5, np.float32(0.9), 0.1)) == "np.float32(0.8009385)"
+        v = classify(RelativePair(*(np.float32(x) for x in (0.6, 0.5, 0.9, 0.1, 0.3))))
+        assert v.regime == C3 and repr(v.by_max) == "np.float32(0.8009384)"
+
     def test_strictly_inside_circle(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
