@@ -48,6 +48,33 @@ def _scaled(v, n: float) -> tuple[tuple[float, ...], float, int]:
     return w, math.hypot(*w), k
 
 
+# 2**27 + 1: splits a float into two halves whose products are exact
+_SPLIT = 134217729.0
+
+
+def _add_square(y: float, c: float) -> float:
+    """c + y*y rounded once, as fma(y, y, c) rounds it.
+
+    For y = 0 or SHORT_LENGTH <= |y| <= 1 / SHORT_LENGTH the square is the
+    exact sum p + e of its float and its rounding error, from y's halves
+    (Veltkamp/Dekker), and ``math.fsum`` rounds c + p + e once.  Outside
+    that range, where e underflows or the split overflows, the sum is formed
+    exactly as a ``Fraction``; a sum past the float range is infinite.
+    """
+    if 0.0 < abs(y) < SHORT_LENGTH or abs(y) > 1.0 / SHORT_LENGTH:
+        from fractions import Fraction
+
+        try:
+            return float(Fraction(c) + Fraction(y) ** 2)
+        except OverflowError:
+            return math.inf
+    h = _SPLIT * y
+    h -= h - y
+    low = y - h
+    p = y * y
+    return math.fsum((c, p, ((h * h - p) + 2.0 * h * low) + low * low))
+
+
 class InvalidEffectError(ValueError):
     """Raised when parameters or a matrix do not describe a qubit effect."""
 

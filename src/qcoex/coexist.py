@@ -103,7 +103,8 @@ def _root(q):
     """Root of a cap radicand, a float (math) or an array (numpy); 0 down to -ROOT_TOL, below it raises.
 
     An array is consumed: it is clamped and rooted in place and returned.
-    A numpy scalar (from numpy parameters) gets a new numpy scalar.
+    A numpy scalar (from classify on a pair of numpy scalars) gets a new
+    numpy scalar.
     """
     if isinstance(q, float):
         if q < -ROOT_TOL:
@@ -188,7 +189,9 @@ def by_max(alpha: float, a: float, beta: float, bx: float) -> float:
     Defined on the restricted regime of reduced parameters: 0 < alpha,
     beta <= 1, 0 < a <= alpha, beta > 1 - S(alpha, a), a finite bx and
     |bx - b0| <= w (the closed interval; at the endpoints the value meets
-    the full-length circle, sqrt(bx^2 + by_max^2) = beta).
+    the full-length circle, sqrt(bx^2 + by_max^2) = beta).  The parameters
+    are converted with ``float()`` once checked, so numpy scalars of any
+    precision give a float.
 
     Raises:
         ValueError: when a precondition fails, naming it.
@@ -198,6 +201,7 @@ def by_max(alpha: float, a: float, beta: float, bx: float) -> float:
         raise ValueError("by_max requires a > 0")
     if not math.isfinite(bx):
         raise ValueError(f"bx must be finite, got {bx!r}")
+    alpha, a, beta, bx = float(alpha), float(a), float(beta), float(bx)
     s = sharpness_scalar(alpha, a)
     if beta <= 1.0 - s - DOMAIN_TOL:
         raise ValueError(
@@ -239,14 +243,13 @@ def _grid(beta: float, n: int) -> np.ndarray:
     """``np.linspace(-beta, beta, n)`` bit for bit, without its set-up cost.
 
     linspace forms ``k * step - beta`` and sets the last sample to ``beta``.
-    When the step underflows to 0 it scales differently, and a numpy
-    ``beta`` narrower than float64 sets its dtype, so there its own result
-    is kept.
+    When the step underflows to 0 it scales differently, so there its own
+    result is kept.
     """
     import numpy as np
 
     step = (beta + beta) / (n - 1)
-    if step == 0.0 or not isinstance(step, float):
+    if step == 0.0:
         return np.linspace(-beta, beta, n)
     xs = np.arange(n, dtype=float)
     xs *= step
@@ -281,7 +284,9 @@ def boundary_curve(
     The junction points b0 +/- w are always inserted exactly when they fall
     inside the sampling range, so continuity across them is observable in
     the output; a junction equal to a sample or to the other junction is
-    not repeated.
+    not repeated.  ``alpha``, ``a`` and ``beta`` are converted with
+    ``float()`` once checked, so numpy scalars of any precision give the
+    float64 curve of their values.
 
     Raises:
         ValueError: for parameters outside their ranges, or ``n_samples``
@@ -292,6 +297,7 @@ def boundary_curve(
         raise ValueError(
             f"n_samples must be between 16 and {_MAX_SAMPLES}, got {n_samples!r}"
         )
+    alpha, a, beta = float(alpha), float(a), float(beta)
     import numpy as np
 
     interval = _restricted_interval(alpha, a, beta, sharpness_scalar(alpha, a))

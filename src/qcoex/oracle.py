@@ -8,8 +8,11 @@ center, at a balance point between two centers or at a triple point where
 three violations are equal, and only these candidates are built.  One
 array kernel (_minimax) evaluates that test for many gammas of a pair at
 once: ``oracle_scan`` searches the gamma grid with it, and
-``disks_feasible(pair, gamma)`` asks it about one gamma.  The oracle shares
-no formulas with the closed-form classification.
+``disks_feasible(pair, gamma)`` asks it about one gamma.  The kernel's
+per-pair constants (_geometry) are formed on Python floats and the kernel
+itself makes elementwise array operations only, so no BLAS kernel, which
+numpy picks for the host at run time, decides a bit of a scan.  The oracle
+shares no formulas with the closed-form classification.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import BlochEffect, RelativePair, relative_pair
+from .bloch import BlochEffect, RelativePair, _add_square, relative_pair
 from .tolerance import BOUNDARY_TOL, CONVEXITY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL
 
 __all__ = [
@@ -59,28 +62,35 @@ def _geometry(centers: np.ndarray) -> tuple:
     times the columns of M^-1, (m11, -m10) and (-m01, m00), (2, 2, t, 1), det
     M (t, 1), c_i and (|c_j|^2 - |c_i|^2, |c_k|^2 - |c_i|^2) (2, t, 1), where
     M is the matrix of the triple's linear system; and n and t.
+
+    They are formed on Python floats, each squared length x^2 + y^2 as
+    ``fma(y, y, x*x)`` (``bloch._add_square``), so no BLAS kernel, which the
+    host picks at run time, decides their bits.
     """
+    c = centers.tolist()
+    squares = [_add_square(y, x * x) for x, y in c]
     pairs, balance = [], []
     for i, j in _PAIRS:
-        ci, cj = centers[i], centers[j]
-        d = float(np.linalg.norm(cj - ci))
+        (xi, yi), (xj, yj) = c[i], c[j]
+        dx, dy = xj - xi, yj - yi
+        d = math.sqrt(_add_square(dy, dx * dx))
         if d != 0.0:
             pairs.append((i, j))
-            balance.append((*ci, *((cj - ci) / d), d))
+            balance.append((xi, yi, dx / d, dy / d, d))
     triples, systems = [], []
     for i, j, k in _TRIPLES:
         # ||g - c|| - r = t for three disks is linear in g given t and
         # quadratic in t, the classical tangent-circle construction
-        ci, cj, ck = centers[i], centers[j], centers[k]
-        m00 = 2.0 * (cj[0] - ci[0])
-        m01 = 2.0 * (cj[1] - ci[1])
-        m10 = 2.0 * (ck[0] - ci[0])
-        m11 = 2.0 * (ck[1] - ci[1])
+        (xi, yi), (xj, yj), (xk, yk) = c[i], c[j], c[k]
+        m00 = 2.0 * (xj - xi)
+        m01 = 2.0 * (yj - yi)
+        m10 = 2.0 * (xk - xi)
+        m11 = 2.0 * (yk - yi)
         det = m00 * m11 - m01 * m10
         if abs(det) < DEGENERATE_TOL:
             continue
         triples.append((i, j, k))
-        systems.append((*ci, m11, -m10, -m01, m00, det, float(cj @ cj - ci @ ci), float(ck @ ck - ci @ ci)))
+        systems.append((xi, yi, m11, -m10, -m01, m00, det, squares[j] - squares[i], squares[k] - squares[i]))
     xy = centers.T[..., None]
     balance = np.array(balance).reshape(-1, 5).T[..., None]
     systems = np.array(systems).reshape(-1, 9).T[..., None]

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import BlochEffect, RelativePair, complement, relative_pair
+from .bloch import BlochEffect, RelativePair, _add_square, complement, relative_pair
 from .coexist import classify, is_coexistent, special_case_verdict
 from .oracle import oracle_scan
 from .tolerance import BOUNDARY_BAND, SPECIAL_CASE_BAND
@@ -50,12 +50,17 @@ class SuiteResult(NamedTuple):
 
 
 def random_effect(rng: np.random.Generator) -> BlochEffect:
-    """Random valid effect: alpha uniform on (0, 1], Bloch length uniform on [0, alpha)."""
+    """Random valid effect: alpha uniform on (0, 1], Bloch length uniform on [0, alpha).
+
+    The direction is a Gaussian vector over its length, with the squares
+    added on floats by ``_add_square``, so a seed gives the same draws on
+    every host, whichever BLAS kernel numpy runs.
+    """
     alpha = 1.0 - rng.random()
     a = alpha * rng.random()
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return BlochEffect(alpha, (a * v).tolist())
+    x, y, z = rng.normal(size=3).tolist()
+    n = math.sqrt(_add_square(z, _add_square(y, x * x)))
+    return BlochEffect(alpha, (a * (x / n), a * (y / n), a * (z / n)))
 
 
 def random_effect_pair(rng: np.random.Generator) -> tuple[BlochEffect, BlochEffect]:
@@ -70,6 +75,12 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0.0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def _rotated(rot: list, v: tuple[float, float, float]) -> list[float]:
+    """The rotation's rows, as lists of floats, times v, on floats."""
+    x, y, z = v
+    return [r0 * x + r1 * y + r2 * z for r0, r1, r2 in rot]
 
 
 def suite_complement_invariance(n: int, seed: int) -> SuiteResult:
@@ -95,9 +106,9 @@ def suite_rotation_invariance(n: int, seed: int) -> SuiteResult:
     violations = 0
     for _ in range(n):
         A, B = random_effect_pair(rng)
-        rot = random_rotation(rng)
-        A2 = BlochEffect(A.alpha, rot @ A.avec)
-        B2 = BlochEffect(B.alpha, rot @ B.avec)
+        rot = random_rotation(rng).tolist()
+        A2 = BlochEffect(A.alpha, _rotated(rot, A.avec))
+        B2 = BlochEffect(B.alpha, _rotated(rot, B.avec))
         if is_coexistent(A, B) != is_coexistent(A2, B2):
             violations += 1
     return SuiteResult("rotation-invariance", n, violations)

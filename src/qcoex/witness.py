@@ -26,7 +26,7 @@ import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .bloch import SHORT_LENGTH, BlochEffect, RelativePair, _scaled, relative_pair
+from .bloch import _SPLIT, SHORT_LENGTH, BlochEffect, RelativePair, _scaled, relative_pair
 from .coexist import C3, Verdict, classify
 from .tolerance import BOUNDARY_TOL, DOMAIN_TOL, PSD_TOL
 
@@ -98,10 +98,6 @@ class InequalityReport(NamedTuple):
 
     holds: bool
     residuals: tuple[float, float, float, float]
-
-
-# 2**27 + 1: splits a float into two halves whose products are exact
-_SPLIT = 134217729.0
 
 
 def _length(x: float, y: float, z: float) -> float:

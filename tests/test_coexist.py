@@ -286,8 +286,13 @@ class TestByMax:
         assert str(info.value) == "square-root argument out of range: -1e-08"
 
     def test_numpy_scalar_parameters_keep_numpy_scalar_caps(self):
-        # the cap's radicands are then numpy scalars, which _root may not write into
-        assert repr(by_max(0.6, 0.5, np.float32(0.9), 0.1)) == "np.float32(0.8009385)"
+        # by_max converts its parameters, so float32 ones give the float cap
+        # of their values
+        beta, bx = np.float32(0.9), np.float32(0.1)
+        cap = by_max(0.6, 0.5, beta, bx)
+        assert type(cap) is float and cap == by_max(0.6, 0.5, float(beta), float(bx))
+        # classify takes a hand-built pair as it is: the cap's radicands are
+        # then numpy scalars, which _root may not write into
         v = classify(RelativePair(*(np.float32(x) for x in (0.6, 0.5, 0.9, 0.1, 0.3))))
         assert v.regime == C3 and repr(v.by_max) == "np.float32(0.8009384)"
 
@@ -431,9 +436,12 @@ class TestBoundaryCurve:
 
     @pytest.mark.parametrize("beta", [np.float32(0.9), np.float64(0.9), 1])
     def test_grid_keeps_linspace_dtype(self, beta):
-        want = np.linspace(-beta, beta, 256)
-        got = _grid(beta, 256)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # boundary_curve samples float(beta), so a float32 beta gets the
+        # float64 grid of its value; a = 0 puts no junction among the samples
+        curve = boundary_curve(0.6, 0.0, beta, 256)
+        want = np.linspace(-float(beta), float(beta), 256)
+        assert curve.bx.dtype == want.dtype and curve.bx.tobytes() == want.tobytes()
+        assert type(curve.beta) is float and curve.r.tobytes() == np.full(256, float(beta)).tobytes()
 
     @pytest.mark.parametrize(
         "case,beta,n,b0,w",
