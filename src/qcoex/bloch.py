@@ -58,8 +58,8 @@ def _add_square(y: float, c: float) -> float:
     For y = 0 or SHORT_LENGTH <= |y| <= 1 / SHORT_LENGTH the square is the
     exact sum p + e of its float and its rounding error, from y's halves
     (Veltkamp/Dekker), and ``math.fsum`` rounds c + p + e once.  Outside
-    that range, where e underflows or the split overflows, the sum is formed
-    exactly as a ``Fraction``; a sum past the float range is infinite.
+    that range, where e can underflow or a product overflow, the sum is
+    formed exactly as a ``Fraction``; a sum past the float range is infinite.
     """
     if 0.0 < abs(y) < SHORT_LENGTH or abs(y) > 1.0 / SHORT_LENGTH:
         from fractions import Fraction
