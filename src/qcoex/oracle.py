@@ -41,6 +41,8 @@ _CELLS = 32
 _STEPS = np.linspace(0.0, 1.0, _CELLS + 1)
 # signs of the two roots of each triple point's quadratic, in candidate order
 _ROOTS = np.array([[1.0], [-1.0]])
+# an edge search's signs: the lower edge's bracket, then the upper's
+_EDGES = np.array([1.0, -1.0])
 
 
 def _centers(p: RelativePair) -> np.ndarray:
@@ -237,7 +239,7 @@ def _secant_bound(x1: float, f1: float, x2: float, f2: float, level: float) -> f
 def _cut(x: list, f: list, b: int, sign: float, whole: bool) -> tuple:
     """One bracket's next bracket and extra sample, from this step's sorted samples ``x``, ``f``.
 
-    ``b`` is the best sample and ``sign`` the search's kind (see _search).
+    ``b`` is the best sample and ``sign`` the search's kind (see _Search).
     With ``whole`` the positions are grid indices, and the results are
     rounded to indices: the ends outward, the extra sample towards the
     best one.  Returns (lo, hi, extra).
@@ -277,10 +279,8 @@ def _cut(x: list, f: list, b: int, sign: float, whole: bool) -> tuple:
     return lo, hi, min(max(extra, lo), hi)
 
 
-def _search(
-    profile: _Profile, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, tol: float, grid: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shrink brackets [lo, hi] to at most ``tol``, one profile call per step.
+class _Search:
+    """Brackets [lo, hi] shrunk to at most ``tol`` in steps, one sample set per step.
 
     Each step samples every bracket at _CELLS + 1 evenly spaced positions
     and, after the first step, at one more: gammas, or with ``grid``
@@ -306,40 +306,83 @@ def _search(
     edge crossed at a slope the bracket so shrinks superlinearly, and no
     step keeps more than its two cells, a sixteenth of the bracket.  With
     ``grid`` and ``tol`` _CELLS the last step samples every index of its
-    bracket, so it returns the grid's own minimum or edge.  Returns each
-    bracket's best sample: its position, profile value and minimax point,
-    shapes (n,), (n,), (n, 2).
+    bracket, so it returns the grid's own minimum or edge.  The brackets
+    of one search stop together, when the widest is at most ``tol``.
+
+    A step is split in two so that several searches can share a profile
+    call (_step): ``gammas()`` gives the step's samples, and ``take`` the
+    profile's values and points at them.  Because the kernel's columns are
+    independent, a search takes the same path alone and shared.  After a
+    step ``at``, ``values`` and ``best`` hold its sample positions and
+    values, (n, k), and each bracket's best sample; when done, ``found``
+    holds that sample's position, profile value and minimax point, shapes
+    (n,), (n,), (n, 2).
     """
-    rows = np.arange(lo.size)
-    whole = grid is not None
-    signed = sign.any()
-    extra = None
-    for _ in range(64):  # each step shrinks every bracket at least 16-fold
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, tol: float, grid: np.ndarray | None = None):
+        self.lo, self.hi, self.sign, self.tol, self.grid = lo, hi, sign, tol, grid
+        self.signs = sign.tolist()
+        self.signed = any(self.signs)
+        self.extra = None
+        self.steps = 0
+        self.found = None
+
+    def gammas(self) -> np.ndarray:
+        """This step's samples, flat; their positions are kept as ``at``, (n, k)."""
+        lo, hi, grid = self.lo, self.hi, self.grid
         span = hi - lo
-        width = span.max()
-        last = width <= tol
-        if last and whole:
+        width = max(span.tolist())
+        self.last = width <= self.tol
+        if self.last and grid is not None:
             # every index once, the end repeated in a shorter bracket
             at = lo[:, None] + np.minimum(np.arange(width + 1), span[:, None])
         else:
             at = lo[:, None] + span[:, None] * _STEPS
             at[:, -1] = hi
-            if extra is not None:
-                at = np.concatenate((at, extra[:, None]), axis=1)
+            if self.extra is not None:
+                at = np.concatenate((at, self.extra[:, None]), axis=1)
                 at.sort(axis=1)
-            if whole:
+            if grid is not None:
                 at = at.astype(np.intp)  # exact: integer ends, dyadic steps
-        values, points = profile((grid[at] if whole else at).ravel())
-        values = values.reshape(at.shape)
+        self.at = at
+        return (at if grid is None else grid[at]).ravel()
+
+    def take(self, values: np.ndarray, points: np.ndarray) -> None:
+        """Cut the brackets from the profile at this step's samples, or keep ``found`` after the last step."""
+        at, sign = self.at, self.sign
+        self.values = values = values.reshape(at.shape)
         key = values
-        if signed:
+        if self.signed:
             key = np.where(sign[:, None] == 0.0, values, np.where(values <= BOUNDARY_TOL, sign[:, None] * at, np.inf))
-        best = key.argmin(axis=1)
-        if last:
-            break
-        cuts = [_cut(*row, whole) for row in zip(at.tolist(), values.tolist(), best.tolist(), sign.tolist())]
-        lo, hi, extra = np.array(cuts, dtype=at.dtype).T
-    return at[rows, best], values[rows, best], points[rows * at.shape[1] + best]
+        self.best = best = key.argmin(axis=1)
+        self.steps += 1
+        if self.last or self.steps == 64:  # each step shrinks every bracket at least 16-fold
+            rows = np.arange(at.shape[0])
+            self.found = at[rows, best], values[rows, best], points[rows * at.shape[1] + best]
+            return
+        whole = self.grid is not None
+        cuts = [_cut(*row, whole) for row in zip(at.tolist(), values.tolist(), best.tolist(), self.signs)]
+        self.lo, self.hi, self.extra = np.array(cuts, dtype=at.dtype).T
+
+    def run(self, profile: _Profile) -> tuple:
+        """Step this search alone until it is done; returns ``found``."""
+        while self.found is None:
+            _step(profile, [self])
+        return self.found
+
+
+def _step(profile: _Profile, searches: list) -> None:
+    """One step of each search, the samples of all of them in one profile call."""
+    if len(searches) == 1:
+        searches[0].take(*profile(searches[0].gammas()))
+        return
+    parts = [s.gammas() for s in searches]
+    values, points = profile(np.concatenate(parts))
+    start = 0
+    for s, part in zip(searches, parts):
+        end = start + part.size
+        s.take(values[start:end], points[start:end])
+        start = end
 
 
 class OracleResult(NamedTuple):
@@ -350,7 +393,8 @@ class OracleResult(NamedTuple):
     infeasible by that much.  The certificate (gamma, point) and the refined
     feasible gamma interval are present when coexistent.  ``kernel_calls``
     and ``columns`` are the work done: minimax kernel calls and the gammas
-    they evaluated.
+    they evaluated.  A call that several searches share counts once, with
+    the columns of all of them.
     """
 
     coexistent: bool
@@ -363,6 +407,18 @@ class OracleResult(NamedTuple):
     columns: int = 0
 
 
+def _edge_search(gammas: np.ndarray, first: int, final: int, outermost: tuple) -> _Search:
+    """The search closing on both interval edges to ``ENDPOINT_TOL``.
+
+    Each edge is bracketed by the outermost feasible gamma found,
+    ``outermost`` (lower, upper), and the grid gamma beyond grid index
+    ``first`` or ``final``; the bracket is empty at 0 or gmax.
+    """
+    lo = np.array([gammas[max(first - 1, 0)], outermost[1]])
+    hi = np.array([outermost[0], gammas[min(final + 1, gammas.size - 1)]])
+    return _Search(lo, hi, _EDGES, ENDPOINT_TOL)
+
+
 def oracle_scan(p: RelativePair) -> OracleResult:
     """Scan gamma over [0, min(alpha, beta)] and decide feasibility.
 
@@ -371,18 +427,25 @@ def oracle_scan(p: RelativePair) -> OracleResult:
     maximum, and minimizing that over g leaves a convex function of gamma,
     the violation profile.  Its feasible set, where it is at most
     ``BOUNDARY_TOL``, is therefore an interval, and the grid of
-    ``GRID_STEPS`` steps is searched, not evaluated (_search): each step
+    ``GRID_STEPS`` steps is searched, not evaluated (_Search): each step
     samples 33 grid indices, keeps the cells next to the best one and cuts
     away what the secants through the samples beyond them, which lie below
-    a convex profile, rule out, until it holds the grid minimum; when that
-    is feasible the same search, on the feasibility of each sample, finds
-    the first and last feasible grid gammas.  On a flat minimum the search
-    keeps a sample within roundoff of the lowest grid value, not
-    necessarily its first index.  When no grid gamma is feasible, a bracket
-    search around the grid minimum refines it to ``MINIMUM_TOL`` and
-    catches intervals thinner than the grid step.  The same search then
-    closes on both interval edges from their grid brackets, to
-    ``ENDPOINT_TOL``.
+    a convex profile, rule out, until it holds the grid minimum.  On a flat
+    minimum the search keeps a sample within roundoff of the lowest grid
+    value, not necessarily its first index.
+
+    The first step of that search that samples a feasible grid gamma
+    settles the verdict, and its first and last feasible samples bound the
+    first and last feasible grid gammas to a cell each.  From there the
+    same search, on the feasibility of each sample, finds those two grid
+    gammas, and then closes on both interval edges from their grid
+    brackets to ``ENDPOINT_TOL``.  Every step puts the samples of all
+    searches still running, the minimum's and the edges', into one kernel
+    call; the kernel's columns are independent, so each search takes the
+    path it takes alone.  When no grid gamma is feasible, a bracket search
+    around the grid minimum refines it to ``MINIMUM_TOL`` and catches
+    intervals thinner than the grid step, and the edge search then starts
+    from the refined minimum.
     Returns the smallest profile value found as the margin and, when it is
     feasible, its gamma, the minimax point of the same kernel evaluation
     (the certificate) and the interval edges, with the work done.
@@ -391,27 +454,40 @@ def oracle_scan(p: RelativePair) -> OracleResult:
     gammas = np.linspace(0.0, gmax, GRID_STEPS + 1) if gmax > 0.0 else np.array([0.0])
     last = gammas.size - 1
     profile = _Profile(p)
-    (k,), (margin,), (point,) = _search(profile, np.array([0]), np.array([last]), np.zeros(1), _CELLS, gammas)
-    on_grid = margin <= BOUNDARY_TOL
-    margin, g_best, point = float(margin), float(gammas[k]), tuple(point.tolist())
-    if not on_grid and last > 0:
-        lo, hi = gammas[[max(k - 1, 0)]], gammas[[min(k + 1, last)]]
-        (g_ref,), (v_ref,), (p_ref,) = _search(profile, lo, hi, np.zeros(1), MINIMUM_TOL)
-        if v_ref < margin:
-            margin, g_best, point = float(v_ref), float(g_ref), tuple(p_ref.tolist())
-    if margin > BOUNDARY_TOL:
-        return OracleResult(False, margin, kernel_calls=profile.calls, columns=profile.columns)
+    minimum = _Search(np.array([0]), np.array([last]), np.zeros(1), _CELLS, gammas)
+    grid_edges = edges = None
+    running = [minimum]
+    while running:
+        _step(profile, running)
+        if grid_edges is None:
+            values = minimum.values[0]
+            if values[minimum.best[0]] <= BOUNDARY_TOL:
+                # the samples beside the first and last feasible ones are
+                # infeasible; past the ends of the step's bracket only the
+                # grid's ends bound the edges
+                inside = np.flatnonzero(values <= BOUNDARY_TOL)
+                at, j0, j1 = minimum.at[0], inside[0], inside[-1]
+                lo = np.array([at[j0 - 1] if j0 > 0 else 0, at[j1]])
+                hi = np.array([at[j0], at[j1 + 1] if j1 < at.size - 1 else last])
+                grid_edges = _Search(lo, hi, _EDGES, _CELLS, gammas)
+        elif edges is None and grid_edges.found is not None:
+            first, final = grid_edges.found[0]
+            edges = _edge_search(gammas, first, final, gammas[[first, final]])
+        running = [s for s in (minimum, grid_edges, edges) if s is not None and s.found is None]
 
-    # each edge is bracketed by the outermost feasible gamma found and the
-    # grid gamma beyond it; the bracket is empty at 0 or gmax
-    first = final = k
-    if on_grid:
-        edges = _search(profile, np.array([0, k]), np.array([k, last]), np.array([1.0, -1.0]), _CELLS, gammas)
-        first, final = edges[0]
-    found = gammas[[first, final]] if on_grid else np.array([g_best, g_best])
-    lo = np.array([gammas[max(first - 1, 0)], found[1]])
-    hi = np.array([found[0], gammas[min(final + 1, last)]])
-    (g_lo, g_hi), _, _ = _search(profile, lo, hi, np.array([1.0, -1.0]), ENDPOINT_TOL)
+    (k,), (margin,), (point,) = minimum.found
+    margin, g_best, point = float(margin), float(gammas[k]), tuple(point.tolist())
+    if margin > BOUNDARY_TOL:
+        if last > 0:
+            lo, hi = gammas[[max(k - 1, 0)]], gammas[[min(k + 1, last)]]
+            (g_ref,), (v_ref,), (p_ref,) = _Search(lo, hi, np.zeros(1), MINIMUM_TOL).run(profile)
+            if v_ref < margin:
+                margin, g_best, point = float(v_ref), float(g_ref), tuple(p_ref.tolist())
+        if margin > BOUNDARY_TOL:
+            return OracleResult(False, margin, kernel_calls=profile.calls, columns=profile.columns)
+        edges = _edge_search(gammas, k, k, (g_best, g_best))
+        edges.run(profile)
+    (g_lo, g_hi), _, _ = edges.found
     return OracleResult(True, margin, g_best, point, float(g_lo), float(g_hi), profile.calls, profile.columns)
 
 

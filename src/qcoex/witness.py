@@ -133,8 +133,9 @@ def _length(x: float, y: float, z: float) -> float:
 def operator_inequalities_hold(A: BlochEffect, B: BlochEffect, wt: Witness) -> InequalityReport:
     """Check the four constraints making (gamma, gvec) a valid first outcome.
 
-    The outcome vectors g, a - g, b - g and (a + b) - g and their traces are
-    formed on floats, and each residual is ||vector|| - trace, with the
+    The outcome vectors g, a - g, b - g and (g - a) - b and their traces are
+    formed on floats as ``assemble_observable`` forms G1 to G4, so each
+    residual is that outcome's own ||vector|| - trace, with the
     length from the exact squares of its components summed by ``math.fsum``.
     A witness with a NaN or infinite entry gets a NaN or infinite residual
     and does not hold; no witness makes the check raise.
@@ -145,7 +146,7 @@ def operator_inequalities_hold(A: BlochEffect, B: BlochEffect, wt: Witness) -> I
         _length(gx, gy, gz) - gamma,
         _length(ax - gx, ay - gy, az - gz) - (A.alpha - gamma),
         _length(bx - gx, by - gy, bz - gz) - (B.alpha - gamma),
-        _length(ax + bx - gx, ay + by - gy, az + bz - gz) - (2.0 + gamma - A.alpha - B.alpha),
+        _length(gx - ax - bx, gy - ay - by, gz - az - bz) - (2.0 - A.alpha - B.alpha + gamma),
     )
     return InequalityReport(all(r <= PSD_TOL for r in residuals), residuals)
 

@@ -9,9 +9,13 @@ CSV and JSON at 16 samples; one small ``selftest``; and ``decide --oracle``
 on a non-coexistent pair (orthogonal sharp projections), on a pair feasible
 only between grid gammas (``test_oracle.THIN``) and on a zero effect, where
 the gamma range is the single point 0.  A refactor that keeps every CLI
-byte passes it unchanged.
+byte passes it unchanged.  Running this file replays each recorded argv on
+the tree it runs on and rewrites the record's exit code, stdout and
+stderr: ``PYTHONPATH=src python tests/test_cli_corpus.py``.
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -19,7 +23,20 @@ import pytest
 
 from qcoex.cli import main
 
-CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json").read_text())
+PATH = Path(__file__).parent / "data" / "cli_corpus.json"
+CORPUS = json.loads(PATH.read_text())
+
+
+def replay(argv: list[str]) -> dict:
+    """One in-process run of ``argv``: the record of its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def write() -> None:
+    PATH.write_text(json.dumps([replay(record["argv"]) for record in CORPUS], indent=1) + "\n")
 
 
 @pytest.mark.parametrize(
@@ -29,3 +46,7 @@ def test_cli_bytes_match_the_corpus(capsys, record):
     code = main(record["argv"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (record["exit"], record["stdout"], record["stderr"])
+
+
+if __name__ == "__main__":
+    write()

@@ -18,8 +18,10 @@ from qcoex.oracle import (
     _minimax,
     _Profile,
     _radii,
-    _search,
+    _Search,
     _secant_bound,
+    _step,
+    _STEPS,
     disks_feasible,
     oracle_coexistent,
     oracle_scan,
@@ -323,6 +325,16 @@ def rise_above_lower_hull(x: np.ndarray, f: np.ndarray) -> float:
 
 # on the boundary, with a feasible gamma interval thinner than a 10^4 grid step
 THIN = RelativePair(0.6, 0.5, 0.9, 0.123, by_max(0.6, 0.5, 0.9, 0.123))
+# 1e-3 inside THIN's boundary point: 24 feasible grid gammas, none of them
+# among the 33 that the scan's first step samples
+LATE = RelativePair(0.6, 0.5, 0.9, 0.123, by_max(0.6, 0.5, 0.9, 0.123) - 1e-3)
+# feasible intervals that touch gamma = 0, gamma = gmax, or both (every
+# grid gamma feasible)
+FROM_ZERO = RelativePair(0.5, 0.1, 0.5, 0.0, 0.1)
+TO_GMAX = RelativePair(0.9, 0.5, 0.95, 0.52, 0.02)
+WHOLE = RelativePair(0.5, 0.1, 0.8, 0.0, 0.1)
+# a zero effect: the gamma range is the single point 0
+ZERO = RelativePair(0.0, 0.0, 0.9, 0.3, 0.0)
 
 
 class TestOracleScan:
@@ -407,6 +419,11 @@ class TestOracleScan:
             lambda: [NEAR_PARALLEL[2]],
             lambda: criterion_3_pairs(200),
             lambda: near_boundary_pairs(48),
+            lambda: [ZERO],
+            lambda: [FROM_ZERO],
+            lambda: [TO_GMAX],
+            lambda: [WHOLE],
+            lambda: [LATE],
         ],
         ids=[
             "orthogonal",
@@ -417,6 +434,11 @@ class TestOracleScan:
             "near-parallel",
             "criterion-3",
             "near-boundary",
+            "zero-effect",
+            "from-zero",
+            "to-gmax",
+            "whole-range",
+            "late-feasibility",
         ],
     )
     def test_search_matches_full_grid(self, pairs):
@@ -447,10 +469,27 @@ class TestOracleScan:
             assert res.gamma_lo <= res.gamma <= res.gamma_hi
             assert reference.disk_excess(tuple(p), res.gamma, res.point) <= BOUNDARY_TOL
 
+    def test_early_start_cases_take_their_paths(self):
+        # the pairs that test_search_matches_full_grid adds for the edge
+        # searches' early start show what they are there for: the first
+        # step's 33 grid samples, all feasible (both edge brackets empty),
+        # the first or the last, or none while later steps find some
+        first_step = (GRID_STEPS * _STEPS).astype(np.intp)
+        samples = {}
+        for name, p in (("whole", WHOLE), ("from-zero", FROM_ZERO), ("to-gmax", TO_GMAX), ("late", LATE)):
+            full, _ = full_profile(p, np.linspace(0.0, min(p.alpha, p.beta), GRID_STEPS + 1))
+            samples[name] = (full[first_step] <= BOUNDARY_TOL, (full <= BOUNDARY_TOL).sum())
+        assert samples["whole"][0].all()
+        assert samples["from-zero"][0][0] and not samples["from-zero"][0][-1]
+        assert not samples["to-gmax"][0][0] and samples["to-gmax"][0][-1]
+        assert not samples["late"][0].any() and samples["late"][1] > 1
+        assert min(ZERO.alpha, ZERO.beta) == 0.0 and oracle_scan(ZERO).gamma_hi == 0.0
+
     def test_work_is_counted_and_bounded(self, monkeypatch):
         # kernel_calls and columns are the scan's kernel calls and the gammas
-        # they evaluated, and no scan of a set does more than the most
-        # measured on it: (calls, columns) per set
+        # they evaluated (a call that several searches share is one call),
+        # and no scan of a set does more than the most measured on it:
+        # (calls, columns) per set
         columns = []
 
         def counting(geometry, radii):
@@ -462,7 +501,7 @@ class TestOracleScan:
         sets = [
             ([RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)], 4, 103),
             ([THIN], 10, 373),
-            (criterion_3_pairs(200), 12, 594),
+            (criterion_3_pairs(200), 8, 529),
         ]
         for pairs, calls, cols in sets:
             for p in pairs:
@@ -588,7 +627,7 @@ def edges(g):
 
 
 class TestSearchCuts:
-    # _search on profiles whose minimum and edges are known exactly
+    # _Search on profiles whose minimum and edges are known exactly
 
     @pytest.mark.parametrize(
         "f,lo,hi,calls",
@@ -604,7 +643,7 @@ class TestSearchCuts:
         # secant cuts pin the kink in 3, and the noise of the plateau cuts
         # none of it away
         profile = Synthetic(f)
-        (at,), (value,), _ = _search(profile, np.array([0.0]), np.array([1.0]), np.zeros(1), MINIMUM_TOL)
+        (at,), (value,), _ = _Search(np.array([0.0]), np.array([1.0]), np.zeros(1), MINIMUM_TOL).run(profile)
         assert lo - MINIMUM_TOL <= at <= hi + MINIMUM_TOL
         assert value <= f(np.array([lo, hi])).max() + 2e-16
         assert profile.calls <= calls
@@ -614,9 +653,9 @@ class TestSearchCuts:
         # and within ENDPOINT_TOL inside its edge
         profile = Synthetic(edges)
         middle = (LOWER_EDGE + UPPER_EDGE) / 2.0
-        (g_lo, g_hi), values, _ = _search(
-            profile, np.array([0.0, middle]), np.array([middle, 1.0]), np.array([1.0, -1.0]), ENDPOINT_TOL
-        )
+        (g_lo, g_hi), values, _ = _Search(
+            np.array([0.0, middle]), np.array([middle, 1.0]), np.array([1.0, -1.0]), ENDPOINT_TOL
+        ).run(profile)
         assert (values <= BOUNDARY_TOL).all()
         assert LOWER_EDGE <= g_lo <= LOWER_EDGE + ENDPOINT_TOL
         assert UPPER_EDGE - ENDPOINT_TOL <= g_hi <= UPPER_EDGE
@@ -628,13 +667,13 @@ class TestSearchCuts:
         # minimum and its first and last feasible index
         grid = np.linspace(0.0, 1.0, 10_001)
         full = f(grid)
-        (k,), (value,), _ = _search(Synthetic(f), np.array([0]), np.array([10_000]), np.zeros(1), _CELLS, grid)
+        (k,), (value,), _ = _Search(np.array([0]), np.array([10_000]), np.zeros(1), _CELLS, grid).run(Synthetic(f))
         assert value == full.min()
         inside = np.flatnonzero(full <= BOUNDARY_TOL)
         if inside.size:
-            found, _, _ = _search(
-                Synthetic(f), np.array([0, k]), np.array([k, 10_000]), np.array([1.0, -1.0]), _CELLS, grid
-            )
+            found, _, _ = _Search(
+                np.array([0, k]), np.array([k, 10_000]), np.array([1.0, -1.0]), _CELLS, grid
+            ).run(Synthetic(f))
             assert found.tolist() == [inside[0], inside[-1]]
 
     @pytest.mark.parametrize(
@@ -650,6 +689,59 @@ class TestSearchCuts:
     )
     def test_secant_that_does_not_fall_returns_its_sample(self, x1, f1, x2, f2, level):
         assert _secant_bound(x1, f1, x2, f2, level) == x1
+
+
+def random_searches(rng, gammas: np.ndarray, feasible: int) -> list[tuple]:
+    """Two to four random searches' arguments, on the grid ``gammas`` or between its gammas.
+
+    Minimum brackets hold grid index ``feasible`` and edge brackets have it
+    at their inner ends; every bracket's ends are drawn apart, so the
+    widths differ and the searches stop after different numbers of steps.
+    """
+    last = gammas.size - 1
+    kinds = []
+    for _ in range(int(rng.integers(2, 5))):
+        lo, hi = int(rng.integers(0, feasible + 1)), int(rng.integers(feasible, last + 1))
+        if rng.random() < 0.5:
+            ends = (np.array([lo]), np.array([hi]), np.zeros(1))
+        else:
+            ends = (np.array([lo, feasible]), np.array([feasible, hi]), np.array([1.0, -1.0]))
+        if rng.random() < 0.5:
+            kinds.append((*ends, _CELLS, gammas))
+        else:
+            tol = MINIMUM_TOL if ends[2].size == 1 else ENDPOINT_TOL
+            kinds.append((gammas[ends[0]], gammas[ends[1]], ends[2], tol))
+    return kinds
+
+
+class TestSharedSteps:
+    def test_each_search_returns_what_it_returns_alone(self):
+        # searches that share kernel calls (_step) return, bit for bit, what
+        # each returns alone: the kernel's columns are independent, so no
+        # search's path depends on what else a call evaluates
+        rng = np.random.default_rng(43)
+        checked = 0
+        for p in criterion_3_pairs(40):
+            gammas = np.linspace(0.0, min(p.alpha, p.beta), GRID_STEPS + 1)
+            inside = np.flatnonzero(full_profile(p, gammas)[0] <= BOUNDARY_TOL)
+            if not inside.size:
+                continue
+            kinds = random_searches(rng, gammas, int(rng.choice(inside)))
+            alone, calls = [], []
+            for args in kinds:
+                profile = _Profile(p)
+                alone.append(_Search(*args).run(profile))
+                calls.append(profile.calls)
+            searches, profile = [_Search(*args) for args in kinds], _Profile(p)
+            while running := [s for s in searches if s.found is None]:
+                _step(profile, running)
+            # every step is one call, as long as the longest search
+            assert profile.calls == max(calls)
+            for one, search in zip(alone, searches):
+                assert [a.tobytes() for a in one] == [a.tobytes() for a in search.found]
+                assert [a.dtype for a in one] == [a.dtype for a in search.found]
+            checked += 1
+        assert checked == 40
 
 
 class TestOracleCoexistent:

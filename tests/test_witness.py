@@ -124,21 +124,18 @@ def exact_length(row):
 
 def per_outcome_check(A, B, wt):
     """Residuals and minimum eigenvalues one outcome at a time: an exact
-    rational norm and a 2x2 matrix with its own eigvalsh call per outcome."""
+    rational norm and a 2x2 matrix with its own eigvalsh call per outcome.
+    Each outcome's vector and trace are formed as assemble_observable forms
+    G1 to G4."""
     g, a, b = np.asarray(wt.gvec), np.asarray(A.avec), np.asarray(B.avec)
     gamma = wt.gamma
-    residuals = (
-        exact_length(g) - gamma,
-        exact_length(a - g) - (A.alpha - gamma),
-        exact_length(b - g) - (B.alpha - gamma),
-        exact_length(a + b - g) - (2.0 + gamma - A.alpha - B.alpha),
-    )
     operators = (
         BlochEffect(gamma, g),
         BlochEffect(A.alpha - gamma, a - g),
         BlochEffect(B.alpha - gamma, b - g),
-        BlochEffect(2.0 + gamma - A.alpha - B.alpha, g - a - b),
+        BlochEffect(2.0 - A.alpha - B.alpha + gamma, g - a - b),
     )
+    residuals = tuple(exact_length(np.asarray(op.avec)) - op.alpha for op in operators)
     eigenvalues = tuple(float(np.linalg.eigvalsh(effect_to_matrix(op))[0]) for op in operators)
     return residuals, eigenvalues
 
@@ -611,6 +608,23 @@ class TestAssembleObservable:
         A, B = sic_pair()
         wt = find_witness(A, B)
         assert assemble_observable(A, B, wt).report == operator_inequalities_hold(A, B, wt)
+
+    def test_each_residual_is_its_outcomes_own(self):
+        # residual k is ||v_k|| - t_k of outcome k as assemble_observable
+        # builds it: G4's vector (g - a) - b and trace 2 - alpha - beta +
+        # gamma, which (a + b) - g and 2 + gamma - alpha - beta round
+        # differently on most random witnesses
+        rng = np.random.default_rng(1)
+        checked = 0
+        for _ in range(300):
+            A, B = random_effect_pair(rng)
+            wt = find_witness(A, B)
+            if wt is None:
+                continue
+            obs = assemble_observable(A, B, wt)
+            assert obs.report.residuals == tuple(exact_length(g.avec) - g.alpha for g in obs.effects())
+            checked += 1
+        assert checked == 298
 
     def test_rejects_witness_violating_constraints(self, check_calls):
         A = effect_from_bloch(0.6, (0.5, 0.0, 0.0))
