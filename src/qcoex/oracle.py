@@ -455,25 +455,26 @@ def oracle_scan(p: RelativePair) -> OracleResult:
     last = gammas.size - 1
     profile = _Profile(p)
     minimum = _Search(np.array([0]), np.array([last]), np.zeros(1), _CELLS, gammas)
-    grid_edges = edges = None
-    running = [minimum]
-    while running:
-        _step(profile, running)
-        if grid_edges is None:
-            values = minimum.values[0]
-            if values[minimum.best[0]] <= BOUNDARY_TOL:
-                # the samples beside the first and last feasible ones are
-                # infeasible; past the ends of the step's bracket only the
-                # grid's ends bound the edges
-                inside = np.flatnonzero(values <= BOUNDARY_TOL)
-                at, j0, j1 = minimum.at[0], inside[0], inside[-1]
-                lo = np.array([at[j0 - 1] if j0 > 0 else 0, at[j1]])
-                hi = np.array([at[j0], at[j1 + 1] if j1 < at.size - 1 else last])
-                grid_edges = _Search(lo, hi, _EDGES, _CELLS, gammas)
-        elif edges is None and grid_edges.found is not None:
-            first, final = grid_edges.found[0]
-            edges = _edge_search(gammas, first, final, gammas[[first, final]])
-        running = [s for s in (minimum, grid_edges, edges) if s is not None and s.found is None]
+    # alone until a step samples a feasible gamma: the lowest sample of its
+    # one bracket is feasible
+    feasible = False
+    while minimum.found is None and not feasible:
+        _step(profile, [minimum])
+        feasible = minimum.values.item(minimum.best.item()) <= BOUNDARY_TOL
+    if feasible:
+        # the samples beside the step's first and last feasible ones are
+        # infeasible; past the ends of its bracket only the grid's ends
+        # bound the edges
+        at, inside = minimum.at[0], np.flatnonzero(minimum.values[0] <= BOUNDARY_TOL)
+        j0, j1 = inside[0], inside[-1]
+        lo = np.array([at[j0 - 1] if j0 > 0 else 0, at[j1]])
+        hi = np.array([at[j0], at[j1 + 1] if j1 < at.size - 1 else last])
+        grid_edges, edges = _Search(lo, hi, _EDGES, _CELLS, gammas), None
+        while running := [s for s in (minimum, grid_edges, edges) if s is not None and s.found is None]:
+            _step(profile, running)
+            if edges is None and grid_edges.found is not None:
+                first, final = grid_edges.found[0]
+                edges = _edge_search(gammas, first, final, gammas[[first, final]])
 
     (k,), (margin,), (point,) = minimum.found
     margin, g_best, point = float(margin), float(gammas[k]), tuple(point.tolist())
