@@ -135,7 +135,7 @@ def per_outcome_check(A, B, wt):
         BlochEffect(B.alpha - gamma, b - g),
         BlochEffect(2.0 - A.alpha - B.alpha + gamma, g - a - b),
     )
-    residuals = tuple(exact_length(np.asarray(op.avec)) - op.alpha for op in operators)
+    residuals = tuple(exact_length(op.avec) - op.alpha for op in operators)
     eigenvalues = tuple(float(np.linalg.eigvalsh(effect_to_matrix(op))[0]) for op in operators)
     return residuals, eigenvalues
 
