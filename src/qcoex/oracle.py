@@ -7,7 +7,8 @@ smallest largest violation over the four disks is attained at a disk
 center, at a balance point between two centers or at a triple point where
 three violations are equal, and only these candidates are built.  One
 array kernel (_minimax) evaluates that test for many gammas of a pair at
-once: ``oracle_scan`` searches the gamma grid with it, and
+once: ``oracle_scan`` runs its searches for the profile minimum and the
+feasible interval's edges in one loop of shared kernel calls, and
 ``disks_feasible(pair, gamma)`` asks it about one gamma.  The kernel's
 per-pair constants (_geometry) are formed on Python floats and the kernel
 itself makes elementwise array operations only, so no BLAS kernel, which
@@ -41,8 +42,6 @@ _CELLS = 32
 _STEPS = np.linspace(0.0, 1.0, _CELLS + 1)
 # signs of the two roots of each triple point's quadratic, in candidate order
 _ROOTS = np.array([[1.0], [-1.0]])
-# an edge search's signs: the lower edge's bracket, then the upper's
-_EDGES = np.array([1.0, -1.0])
 
 
 def _centers(p: RelativePair) -> np.ndarray:
@@ -237,12 +236,12 @@ def _secant_bound(x1: float, f1: float, x2: float, f2: float, level: float) -> f
 
 
 def _cut(x: list, f: list, b: int, sign: float, whole: bool) -> tuple:
-    """One bracket's next bracket and extra sample, from this step's sorted samples ``x``, ``f``.
+    """The bracket's next ends and extra sample, from this step's sorted samples ``x``, ``f``.
 
     ``b`` is the best sample and ``sign`` the search's kind (see _Search).
     With ``whole`` the positions are grid indices, and the results are
-    rounded to indices: the ends outward, the extra sample towards the
-    best one.  Returns (lo, hi, extra).
+    rounded to indices: the ends outward, the extra sample to the nearest.
+    Returns (lo, hi, extra).
     """
     xb, fb = x[b], f[b]
     level = fb if sign == 0.0 else BOUNDARY_TOL
@@ -258,7 +257,9 @@ def _cut(x: list, f: list, b: int, sign: float, whole: bool) -> tuple:
         hi = min(hi, max(_secant_bound(*right[0], *right[1], level), xb))
 
     # minimum: where the two secants cross; edge: where the chord from the
-    # last infeasible sample to the best one reaches BOUNDARY_TOL
+    # last infeasible sample to the best one reaches halfway from the best
+    # value (or 0) to BOUNDARY_TOL, inside the feasible side by more than
+    # roundoff
     extra = xb
     if sign == 0.0 and len(left) == len(right) == 2:
         (xl1, fl1), (xl2, fl2) = left
@@ -270,26 +271,26 @@ def _cut(x: list, f: list, b: int, sign: float, whole: bool) -> tuple:
     elif sign != 0.0 and (left or right):
         x1, f1 = (left or right)[0]
         if f1 > fb:
-            extra = x1 + (xb - x1) * (f1 - BOUNDARY_TOL) / (f1 - fb)
+            extra = x1 + (xb - x1) * (f1 - (max(fb, 0.0) + BOUNDARY_TOL) / 2.0) / (f1 - fb)
     if not math.isfinite(extra):
         extra = xb
     if whole:
-        lo, hi = math.floor(lo), math.ceil(hi)
-        extra = math.ceil(extra) if sign > 0.0 else math.floor(extra) if sign < 0.0 else round(extra)
+        lo, hi, extra = math.floor(lo), math.ceil(hi), round(extra)
     return lo, hi, min(max(extra, lo), hi)
 
 
 class _Search:
-    """Brackets [lo, hi] shrunk to at most ``tol`` in steps, one sample set per step.
+    """A bracket [lo, hi] shrunk to at most ``tol`` in steps, one sample set per step.
 
-    Each step samples every bracket at _CELLS + 1 evenly spaced positions
+    Each step samples the bracket at _CELLS + 1 evenly spaced positions
     and, after the first step, at one more: gammas, or with ``grid``
     indices into that array of gammas, rounded down.  With ``sign`` 0 the
     best sample has the lowest profile value, and the two cells around it
     hold the minimum of the convex profile.  With ``sign`` +1 (-1) the best
     sample is the lowest (highest) feasible position, and the cell outside
     it holds the lower (upper) edge of the feasible interval; such a
-    bracket needs a feasible position at its inner end.
+    bracket needs a feasible position at its inner end, and its positions
+    are gammas.
 
     The step keeps that part of those cells that the samples beyond them
     do not rule out.  A line through two samples of a convex profile lies
@@ -301,68 +302,59 @@ class _Search:
     roundoff, and a cut on grid indices is rounded outward.  The next
     step's extra sample is where the two secants cross (sign 0), the
     lowest point of their maximum, or where the chord from the infeasible
-    neighbour to the best sample reaches BOUNDARY_TOL (sign +-1), which is
-    feasible because a chord lies above the profile.  Near a kink or an
-    edge crossed at a slope the bracket so shrinks superlinearly, and no
-    step keeps more than its two cells, a sixteenth of the bracket.  With
-    ``grid`` and ``tol`` _CELLS the last step samples every index of its
-    bracket, so it returns the grid's own minimum or edge.  The brackets
-    of one search stop together, when the widest is at most ``tol``.
+    neighbour to the best sample reaches halfway from the best value (or
+    0) to BOUNDARY_TOL (sign +-1), which is feasible because a chord lies
+    above the profile.  Near a kink or an edge crossed at a slope the
+    bracket so shrinks superlinearly, and no step keeps more than its two
+    cells, a sixteenth of the bracket.  With ``grid`` and ``tol`` _CELLS
+    the last step samples every index of its bracket, so it returns the
+    grid's own minimum.
 
     A step is split in two so that several searches can share a profile
     call (_step): ``gammas()`` gives the step's samples, and ``take`` the
     profile's values and points at them.  Because the kernel's columns are
     independent, a search takes the same path alone and shared.  After a
-    step ``at``, ``values`` and ``best`` hold its sample positions and
-    values, (n, k), and each bracket's best sample; when done, ``found``
-    holds that sample's position, profile value and minimax point, shapes
-    (n,), (n,), (n, 2).
+    step ``at`` and ``values`` hold its sample positions and values; when
+    done, ``found`` holds the best sample's position, profile value and
+    minimax point, shape (2,).
     """
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, tol: float, grid: np.ndarray | None = None):
+    def __init__(self, lo, hi, sign: float, tol: float, grid: np.ndarray | None = None):
         self.lo, self.hi, self.sign, self.tol, self.grid = lo, hi, sign, tol, grid
-        self.signs = sign.tolist()
-        self.signed = any(self.signs)
         self.extra = None
         self.steps = 0
         self.found = None
 
     def gammas(self) -> np.ndarray:
-        """This step's samples, flat; their positions are kept as ``at``, (n, k)."""
+        """This step's samples; their positions are kept as ``at``."""
         lo, hi, grid = self.lo, self.hi, self.grid
-        span = hi - lo
-        width = max(span.tolist())
-        self.last = width <= self.tol
+        self.last = hi - lo <= self.tol
         if self.last and grid is not None:
-            # every index once, the end repeated in a shorter bracket
-            at = lo[:, None] + np.minimum(np.arange(width + 1), span[:, None])
+            at = np.arange(lo, hi + 1)  # every index once
         else:
-            at = lo[:, None] + span[:, None] * _STEPS
-            at[:, -1] = hi
+            at = lo + (hi - lo) * _STEPS
+            at[-1] = hi
             if self.extra is not None:
-                at = np.concatenate((at, self.extra[:, None]), axis=1)
-                at.sort(axis=1)
+                at = np.append(at, self.extra)
+                at.sort()
             if grid is not None:
                 at = at.astype(np.intp)  # exact: integer ends, dyadic steps
         self.at = at
-        return (at if grid is None else grid[at]).ravel()
+        return at if grid is None else grid[at]
 
     def take(self, values: np.ndarray, points: np.ndarray) -> None:
-        """Cut the brackets from the profile at this step's samples, or keep ``found`` after the last step."""
-        at, sign = self.at, self.sign
-        self.values = values = values.reshape(at.shape)
-        key = values
-        if self.signed:
-            key = np.where(sign[:, None] == 0.0, values, np.where(values <= BOUNDARY_TOL, sign[:, None] * at, np.inf))
-        self.best = best = key.argmin(axis=1)
+        """Cut the bracket from the profile at this step's samples, or keep ``found`` after the last step."""
+        self.values = values
+        if self.sign == 0.0:
+            b = int(values.argmin())
+        else:
+            inside = np.flatnonzero(values <= BOUNDARY_TOL)
+            b = int(inside[0] if self.sign > 0.0 else inside[-1])
         self.steps += 1
-        if self.last or self.steps == 64:  # each step shrinks every bracket at least 16-fold
-            rows = np.arange(at.shape[0])
-            self.found = at[rows, best], values[rows, best], points[rows * at.shape[1] + best]
-            return
-        whole = self.grid is not None
-        cuts = [_cut(*row, whole) for row in zip(at.tolist(), values.tolist(), best.tolist(), self.signs)]
-        self.lo, self.hi, self.extra = np.array(cuts, dtype=at.dtype).T
+        if self.last or self.steps == 64:  # each step shrinks the bracket at least 16-fold
+            self.found = self.at[b], values[b], points[b]
+        else:
+            self.lo, self.hi, self.extra = _cut(self.at.tolist(), values.tolist(), b, self.sign, self.grid is not None)
 
     def run(self, profile: _Profile) -> tuple:
         """Step this search alone until it is done; returns ``found``."""
@@ -407,18 +399,6 @@ class OracleResult(NamedTuple):
     columns: int = 0
 
 
-def _edge_search(gammas: np.ndarray, first: int, final: int, outermost: tuple) -> _Search:
-    """The search closing on both interval edges to ``ENDPOINT_TOL``.
-
-    Each edge is bracketed by the outermost feasible gamma found,
-    ``outermost`` (lower, upper), and the grid gamma beyond grid index
-    ``first`` or ``final``; the bracket is empty at 0 or gmax.
-    """
-    lo = np.array([gammas[max(first - 1, 0)], outermost[1]])
-    hi = np.array([outermost[0], gammas[min(final + 1, gammas.size - 1)]])
-    return _Search(lo, hi, _EDGES, ENDPOINT_TOL)
-
-
 def oracle_scan(p: RelativePair) -> OracleResult:
     """Scan gamma over [0, min(alpha, beta)] and decide feasibility.
 
@@ -432,20 +412,21 @@ def oracle_scan(p: RelativePair) -> OracleResult:
     away what the secants through the samples beyond them, which lie below
     a convex profile, rule out, until it holds the grid minimum.  On a flat
     minimum the search keeps a sample within roundoff of the lowest grid
-    value, not necessarily its first index.
+    value, not necessarily its first index.  When no grid gamma is
+    feasible, a bracket search around the grid minimum refines it to
+    ``MINIMUM_TOL`` and catches intervals thinner than the grid step.
 
-    The first step of that search that samples a feasible grid gamma
-    settles the verdict, and its first and last feasible samples bound the
-    first and last feasible grid gammas to a cell each.  From there the
-    same search, on the feasibility of each sample, finds those two grid
-    gammas, and then closes on both interval edges from their grid
-    brackets to ``ENDPOINT_TOL``.  Every step puts the samples of all
-    searches still running, the minimum's and the edges', into one kernel
-    call; the kernel's columns are independent, so each search takes the
-    path it takes alone.  When no grid gamma is feasible, a bracket search
-    around the grid minimum refines it to ``MINIMUM_TOL`` and catches
-    intervals thinner than the grid step, and the edge search then starts
-    from the refined minimum.
+    The first step of either minimum search that samples a feasible gamma
+    settles the verdict.  Each interval edge then lies between the step's
+    outermost feasible sample and the infeasible sample beyond it, and an
+    edge search closes on it to ``ENDPOINT_TOL``.  Where that feasible
+    sample ends the step's bracket, it is the edge, taken without a search:
+    no gamma lies beyond the first step's bracket [0, gmax], and the cuts
+    of earlier steps, where no sample was feasible, rule out feasible
+    gammas beyond a later step's.  The scan is one loop: every step puts the
+    samples of all searches still running, the minimum's and the edges',
+    into one kernel call, and the kernel's columns are independent, so each
+    search takes the path it takes alone.
     Returns the smallest profile value found as the margin and, when it is
     feasible, its gamma, the minimax point of the same kernel evaluation
     (the certificate) and the interval edges, with the work done.
@@ -454,42 +435,36 @@ def oracle_scan(p: RelativePair) -> OracleResult:
     gammas = np.linspace(0.0, gmax, GRID_STEPS + 1) if gmax > 0.0 else np.array([0.0])
     last = gammas.size - 1
     profile = _Profile(p)
-    minimum = _Search(np.array([0]), np.array([last]), np.zeros(1), _CELLS, gammas)
-    # alone until a step samples a feasible gamma: the lowest sample of its
-    # one bracket is feasible
-    feasible = False
-    while minimum.found is None and not feasible:
-        _step(profile, [minimum])
-        feasible = minimum.values.item(minimum.best.item()) <= BOUNDARY_TOL
-    if feasible:
-        # the samples beside the step's first and last feasible ones are
-        # infeasible; past the ends of its bracket only the grid's ends
-        # bound the edges
-        at, inside = minimum.at[0], np.flatnonzero(minimum.values[0] <= BOUNDARY_TOL)
-        j0, j1 = inside[0], inside[-1]
-        lo = np.array([at[j0 - 1] if j0 > 0 else 0, at[j1]])
-        hi = np.array([at[j0], at[j1 + 1] if j1 < at.size - 1 else last])
-        grid_edges, edges = _Search(lo, hi, _EDGES, _CELLS, gammas), None
-        while running := [s for s in (minimum, grid_edges, edges) if s is not None and s.found is None]:
-            _step(profile, running)
-            if edges is None and grid_edges.found is not None:
-                first, final = grid_edges.found[0]
-                edges = _edge_search(gammas, first, final, gammas[[first, final]])
+    grid = minimum = _Search(0, last, 0.0, _CELLS, gammas)
+    searches, edges = [grid], None
+    while running := [s for s in searches if s.found is None]:
+        _step(profile, running)
+        # the first feasible samples: the outermost ones and the infeasible
+        # ones beyond them bracket the edges
+        if edges is None and (inside := np.flatnonzero(minimum.values <= BOUNDARY_TOL)).size:
+            x = (gammas[minimum.at] if minimum is grid else minimum.at).tolist()
+            j0, j1 = inside[[0, -1]].tolist()
+            edges = [
+                x[j0] if j0 == 0 else _Search(x[j0 - 1], x[j0], 1.0, ENDPOINT_TOL),
+                x[j1] if j1 == len(x) - 1 else _Search(x[j1], x[j1 + 1], -1.0, ENDPOINT_TOL),
+            ]
+            searches += [e for e in edges if isinstance(e, _Search)]
+        # no grid gamma feasible: refine the grid minimum between its neighbours
+        if minimum is grid and grid.found is not None and grid.found[1] > BOUNDARY_TOL and last > 0:
+            k = grid.found[0]
+            minimum = _Search(gammas[max(k - 1, 0)], gammas[min(k + 1, last)], 0.0, MINIMUM_TOL)
+            searches.append(minimum)
 
-    (k,), (margin,), (point,) = minimum.found
+    k, margin, point = grid.found
     margin, g_best, point = float(margin), float(gammas[k]), tuple(point.tolist())
+    if minimum is not grid:
+        g_ref, v_ref, p_ref = minimum.found
+        if v_ref < margin:
+            margin, g_best, point = float(v_ref), float(g_ref), tuple(p_ref.tolist())
     if margin > BOUNDARY_TOL:
-        if last > 0:
-            lo, hi = gammas[[max(k - 1, 0)]], gammas[[min(k + 1, last)]]
-            (g_ref,), (v_ref,), (p_ref,) = _Search(lo, hi, np.zeros(1), MINIMUM_TOL).run(profile)
-            if v_ref < margin:
-                margin, g_best, point = float(v_ref), float(g_ref), tuple(p_ref.tolist())
-        if margin > BOUNDARY_TOL:
-            return OracleResult(False, margin, kernel_calls=profile.calls, columns=profile.columns)
-        edges = _edge_search(gammas, k, k, (g_best, g_best))
-        edges.run(profile)
-    (g_lo, g_hi), _, _ = edges.found
-    return OracleResult(True, margin, g_best, point, float(g_lo), float(g_hi), profile.calls, profile.columns)
+        return OracleResult(False, margin, kernel_calls=profile.calls, columns=profile.columns)
+    g_lo, g_hi = (float(e.found[0]) if isinstance(e, _Search) else e for e in edges)
+    return OracleResult(True, margin, g_best, point, g_lo, g_hi, profile.calls, profile.columns)
 
 
 def oracle_coexistent(A: BlochEffect, B: BlochEffect) -> OracleResult:

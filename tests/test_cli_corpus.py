@@ -11,7 +11,9 @@ only between grid gammas (``test_oracle.THIN``) and on a zero effect, where
 the gamma range is the single point 0.  A refactor that keeps every CLI
 byte passes it unchanged.  Running this file replays each recorded argv on
 the tree it runs on and rewrites the record's exit code, stdout and
-stderr: ``PYTHONPATH=src python tests/test_cli_corpus.py``.
+stderr, ``PYTHONPATH=src python tests/test_cli_corpus.py``, after printing
+what the rewrite moves: the runs that change, and per field, stdout's JSON
+fields included, how many and the largest change (``corpus_changes.py``).
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from corpus_changes import report
 from qcoex.cli import main
 
 PATH = Path(__file__).parent / "data" / "cli_corpus.json"
@@ -36,7 +39,9 @@ def replay(argv: list[str]) -> dict:
 
 
 def write() -> None:
-    PATH.write_text(json.dumps([replay(record["argv"]) for record in CORPUS], indent=1) + "\n")
+    records = [replay(record["argv"]) for record in CORPUS]
+    print(report("CLI corpus", CORPUS, records))
+    PATH.write_text(json.dumps(records, indent=1) + "\n")
 
 
 @pytest.mark.parametrize(

@@ -471,9 +471,9 @@ class TestOracleScan:
 
     def test_early_start_cases_take_their_paths(self):
         # the pairs that test_search_matches_full_grid adds for the edge
-        # searches' early start show what they are there for: the first
-        # step's 33 grid samples, all feasible (both edge brackets empty),
-        # the first or the last, or none while later steps find some
+        # searches' start show what they are there for: the first step's 33
+        # grid samples, all feasible (both edges at a sampled end of the
+        # range), the first or the last, or none while later steps find some
         first_step = (GRID_STEPS * _STEPS).astype(np.intp)
         samples = {}
         for name, p in (("whole", WHOLE), ("from-zero", FROM_ZERO), ("to-gmax", TO_GMAX), ("late", LATE)):
@@ -483,7 +483,19 @@ class TestOracleScan:
         assert samples["from-zero"][0][0] and not samples["from-zero"][0][-1]
         assert not samples["to-gmax"][0][0] and samples["to-gmax"][0][-1]
         assert not samples["late"][0].any() and samples["late"][1] > 1
-        assert min(ZERO.alpha, ZERO.beta) == 0.0 and oracle_scan(ZERO).gamma_hi == 0.0
+        # an edge at a sampled 0 or gmax is taken without a search, so the
+        # whole range's scan does the work of its grid minimum search alone
+        gammas = np.linspace(0.0, min(WHOLE.alpha, WHOLE.beta), GRID_STEPS + 1)
+        profile = _Profile(WHOLE)
+        _Search(0, GRID_STEPS, 0.0, _CELLS, gammas).run(profile)
+        res = oracle_scan(WHOLE)
+        assert (res.gamma_lo, res.gamma_hi) == (0.0, gammas[-1])
+        assert (res.kernel_calls, res.columns) == (profile.calls, profile.columns)
+        assert oracle_scan(FROM_ZERO).gamma_lo == 0.0
+        assert oracle_scan(TO_GMAX).gamma_hi == min(TO_GMAX.alpha, TO_GMAX.beta)
+        res = oracle_scan(ZERO)
+        assert min(ZERO.alpha, ZERO.beta) == 0.0
+        assert (res.gamma_lo, res.gamma_hi, res.kernel_calls, res.columns) == (0.0, 0.0, 1, 1)
 
     def test_work_is_counted_and_bounded(self, monkeypatch):
         # kernel_calls and columns are the scan's kernel calls and the gammas
@@ -500,8 +512,13 @@ class TestOracleScan:
         monkeypatch.setattr("qcoex.oracle._minimax", counting)
         sets = [
             ([RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)], 4, 103),
-            ([THIN], 10, 373),
-            (criterion_3_pairs(200), 8, 529),
+            ([THIN], 8, 305),
+            (criterion_3_pairs(200), 7, 344),
+            # the single gamma 0, and every grid gamma feasible: edges at a
+            # sampled 0 or gmax take no search
+            ([ZERO], 1, 1),
+            ([WHOLE], 3, 92),
+            (near_boundary_pairs(48), 10, 578),
         ]
         for pairs, calls, cols in sets:
             for p in pairs:
@@ -643,20 +660,21 @@ class TestSearchCuts:
         # secant cuts pin the kink in 3, and the noise of the plateau cuts
         # none of it away
         profile = Synthetic(f)
-        (at,), (value,), _ = _Search(np.array([0.0]), np.array([1.0]), np.zeros(1), MINIMUM_TOL).run(profile)
+        at, value, _ = _Search(0.0, 1.0, 0.0, MINIMUM_TOL).run(profile)
         assert lo - MINIMUM_TOL <= at <= hi + MINIMUM_TOL
         assert value <= f(np.array([lo, hi])).max() + 2e-16
         assert profile.calls <= calls
 
     def test_edges(self):
-        # both edges in one batched search: each returned gamma is feasible
-        # and within ENDPOINT_TOL inside its edge
+        # both edges as two searches sharing kernel calls: each returned
+        # gamma is feasible and within ENDPOINT_TOL inside its edge
         profile = Synthetic(edges)
         middle = (LOWER_EDGE + UPPER_EDGE) / 2.0
-        (g_lo, g_hi), values, _ = _Search(
-            np.array([0.0, middle]), np.array([middle, 1.0]), np.array([1.0, -1.0]), ENDPOINT_TOL
-        ).run(profile)
-        assert (values <= BOUNDARY_TOL).all()
+        searches = [_Search(0.0, middle, 1.0, ENDPOINT_TOL), _Search(middle, 1.0, -1.0, ENDPOINT_TOL)]
+        while running := [s for s in searches if s.found is None]:
+            _step(profile, running)
+        (g_lo, v_lo, _), (g_hi, v_hi, _) = (s.found for s in searches)
+        assert v_lo <= BOUNDARY_TOL and v_hi <= BOUNDARY_TOL
         assert LOWER_EDGE <= g_lo <= LOWER_EDGE + ENDPOINT_TOL
         assert UPPER_EDGE - ENDPOINT_TOL <= g_hi <= UPPER_EDGE
         assert profile.calls <= 3
@@ -664,17 +682,10 @@ class TestSearchCuts:
     @pytest.mark.parametrize("f", [kink, parabola, plateau, edges], ids=["kink", "parabola", "plateau", "edges"])
     def test_grid(self, f):
         # on grid indices the cuts, rounded outward, keep the grid's own
-        # minimum and its first and last feasible index
+        # minimum
         grid = np.linspace(0.0, 1.0, 10_001)
-        full = f(grid)
-        (k,), (value,), _ = _Search(np.array([0]), np.array([10_000]), np.zeros(1), _CELLS, grid).run(Synthetic(f))
-        assert value == full.min()
-        inside = np.flatnonzero(full <= BOUNDARY_TOL)
-        if inside.size:
-            found, _, _ = _Search(
-                np.array([0, k]), np.array([k, 10_000]), np.array([1.0, -1.0]), _CELLS, grid
-            ).run(Synthetic(f))
-            assert found.tolist() == [inside[0], inside[-1]]
+        _, value, _ = _Search(0, 10_000, 0.0, _CELLS, grid).run(Synthetic(f))
+        assert value == f(grid).min()
 
     @pytest.mark.parametrize(
         "x1,f1,x2,f2,level",
@@ -692,25 +703,26 @@ class TestSearchCuts:
 
 
 def random_searches(rng, gammas: np.ndarray, feasible: int) -> list[tuple]:
-    """Two to four random searches' arguments, on the grid ``gammas`` or between its gammas.
+    """Two to four random searches' arguments: minimum searches on the grid ``gammas`` or between its gammas, and edge searches.
 
-    Minimum brackets hold grid index ``feasible`` and edge brackets have it
-    at their inner ends; every bracket's ends are drawn apart, so the
-    widths differ and the searches stop after different numbers of steps.
+    Minimum brackets hold grid index ``feasible`` and edge brackets, lower
+    or upper, have it at their inner ends; every bracket's ends are drawn
+    apart, so the widths differ and the searches stop after different
+    numbers of steps.
     """
     last = gammas.size - 1
     kinds = []
     for _ in range(int(rng.integers(2, 5))):
         lo, hi = int(rng.integers(0, feasible + 1)), int(rng.integers(feasible, last + 1))
-        if rng.random() < 0.5:
-            ends = (np.array([lo]), np.array([hi]), np.zeros(1))
+        kind = rng.random()
+        if kind < 0.25:
+            kinds.append((lo, hi, 0.0, _CELLS, gammas))
+        elif kind < 0.5:
+            kinds.append((gammas[lo], gammas[hi], 0.0, MINIMUM_TOL))
+        elif kind < 0.75:
+            kinds.append((gammas[lo], gammas[feasible], 1.0, ENDPOINT_TOL))
         else:
-            ends = (np.array([lo, feasible]), np.array([feasible, hi]), np.array([1.0, -1.0]))
-        if rng.random() < 0.5:
-            kinds.append((*ends, _CELLS, gammas))
-        else:
-            tol = MINIMUM_TOL if ends[2].size == 1 else ENDPOINT_TOL
-            kinds.append((gammas[ends[0]], gammas[ends[1]], ends[2], tol))
+            kinds.append((gammas[feasible], gammas[hi], -1.0, ENDPOINT_TOL))
     return kinds
 
 

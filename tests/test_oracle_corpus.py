@@ -8,7 +8,9 @@ oracle pairs of each perfbench stream (seed 1), perfbench's three
 near-parallel fault pairs and the README's SIC example.  A change to the
 oracle that keeps every float bit for bit, and the work it counts, passes
 it unchanged.  Running this file writes the corpus from the tree it runs
-on: ``PYTHONPATH=src python tests/test_oracle_corpus.py``.
+on, ``PYTHONPATH=src python tests/test_oracle_corpus.py``, and first prints
+what the rewrite moves: the records that change, and per field how many
+and the largest change (``corpus_changes.py``).
 """
 
 import json
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 import qcoex
+from corpus_changes import report
 from qcoex.bloch import BlochEffect, RelativePair, relative_pair
 from qcoex.oracle import OracleResult, oracle_scan
 from qcoex.selftest import random_effect_pair
@@ -61,6 +64,7 @@ def write() -> None:
         {"source": name, "pair": [repr(v) for v in pair], "result": encode(oracle_scan(pair))}
         for name, pair in corpus_pairs()
     ]
+    print(report("oracle corpus", CORPUS, records))
     PATH.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
 
 
