@@ -319,7 +319,7 @@ class _Search:
     minimax point, shape (2,).
     """
 
-    def __init__(self, lo, hi, sign: float, tol: float, grid: np.ndarray | None = None):
+    def __init__(self, lo: float, hi: float, sign: float, tol: float, grid: np.ndarray | None = None):
         self.lo, self.hi, self.sign, self.tol, self.grid = lo, hi, sign, tol, grid
         self.extra = None
         self.steps = 0
