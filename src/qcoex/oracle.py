@@ -9,7 +9,10 @@ three violations are equal, and only these candidates are built.  One
 array kernel (_minimax) evaluates that test for many gammas of a pair at
 once: ``oracle_scan`` runs its searches for the profile minimum and the
 feasible interval's edges in one loop of shared kernel calls, and
-``disks_feasible(pair, gamma)`` asks it about one gamma.  The kernel's
+``disks_feasible(pair, gamma)`` asks it about one gamma.  A pair whose
+first kernel call finds no feasible gamma is offered to the closed-form
+optimum and its dual bound (``optimum.closed_form_optimum``), which settle
+a non-coexistent pair without further calls.  The kernel's
 per-pair constants (_geometry) are formed on Python floats and the kernel
 itself makes elementwise array operations only, so no BLAS kernel, which
 numpy picks for the host at run time, decides a bit of a scan.  The oracle
@@ -24,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import BlochEffect, RelativePair, _add_square, relative_pair
+from .optimum import closed_form_optimum
 from .tolerance import BOUNDARY_TOL, CONVEXITY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL
 
 __all__ = [
@@ -416,6 +420,17 @@ def oracle_scan(p: RelativePair) -> OracleResult:
     feasible, a bracket search around the grid minimum refines it to
     ``MINIMUM_TOL`` and catches intervals thinner than the grid step.
 
+    Before that, a pair whose first step samples no feasible gamma is
+    offered to the closed-form optimum (``optimum.closed_form_optimum``),
+    the point where all four violations are equal.  Its weights' dual bound
+    is a lower bound on the largest violation at every (g, gamma), so when
+    it exceeds ``BOUNDARY_TOL`` the pair is not coexistent.  When also the
+    point's gamma lies in [0, gmax] and its largest violation is within
+    ``MINIMUM_TOL`` of the bound, as the refined minimum would be, the scan
+    returns that violation as the margin, after that one kernel call.
+    Every other pair takes the searches, and gets the results it got
+    without the certificate, bit for bit.
+
     The first step of either minimum search that samples a feasible gamma
     settles the verdict.  Each interval edge then lies between the step's
     outermost feasible sample and the infeasible sample beyond it, and an
@@ -427,9 +442,10 @@ def oracle_scan(p: RelativePair) -> OracleResult:
     samples of all searches still running, the minimum's and the edges',
     into one kernel call, and the kernel's columns are independent, so each
     search takes the path it takes alone.
-    Returns the smallest profile value found as the margin and, when it is
-    feasible, its gamma, the minimax point of the same kernel evaluation
-    (the certificate) and the interval edges, with the work done.
+    Returns the smallest profile value found (or the certified optimum's
+    largest violation) as the margin and, when it is feasible, its gamma,
+    the minimax point of the same kernel evaluation (the certificate) and
+    the interval edges, with the work done.
     """
     gmax = min(p.alpha, p.beta)
     gammas = np.linspace(0.0, gmax, GRID_STEPS + 1) if gmax > 0.0 else np.array([0.0])
@@ -449,6 +465,11 @@ def oracle_scan(p: RelativePair) -> OracleResult:
                 x[j1] if j1 == len(x) - 1 else _Search(x[j1], x[j1 + 1], -1.0, ENDPOINT_TOL),
             ]
             searches += [e for e in edges if isinstance(e, _Search)]
+        # no gamma of the first step feasible: the closed-form optimum settles
+        # the scan when its dual bound is infeasible and it lies in the range
+        elif profile.calls == 1 and (o := closed_form_optimum(p)) is not None:
+            if o.bound > BOUNDARY_TOL and o.violation - o.bound <= MINIMUM_TOL and 0.0 <= o.gamma <= gmax:
+                return OracleResult(False, o.violation, kernel_calls=profile.calls, columns=profile.columns)
         # no grid gamma feasible: refine the grid minimum between its neighbours
         if minimum is grid and grid.found is not None and grid.found[1] > BOUNDARY_TOL and last > 0:
             k = grid.found[0]

@@ -9,9 +9,10 @@ refusing to run.
 import math
 
 import numpy as np
+import pytest
 import reference as ref
 
-from qcoex.bloch import complement, effect_from_bloch
+from qcoex.bloch import BlochEffect, complement, effect_from_bloch
 from qcoex.coexist import is_coexistent
 from qcoex.selftest import random_rotation
 from qcoex.witness import find_witness, operator_inequalities_hold
@@ -77,3 +78,16 @@ def test_near_parallel_at_full_length(no_oracle):
     # reference margin within 2e-16 of 0, inside the band, and are decided
     # by the last bits of the vector lengths
     assert (4 * len(coexistent), sum(coexistent)) == (4000, 2499)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="relative_pair(X, Y) reads the sharp Y as unsharp (bx = 0.9999999999999999): the verdict depends on order",
+)
+def test_swapped_full_length_pair_keeps_its_verdict(no_oracle):
+    # Y is sharp (|y|^2 = 1 + 4.9e-18 exactly) and about 1e-8 rad from X;
+    # the reference margin is -2.32e-9, outside the 1e-9 band, so neither
+    # order is coexistent, but is_coexistent(X, Y) is True
+    X = BlochEffect(0.23186827894081674, (-0.11327707399359445, 0.11240084343033115, 0.16821787563328786))
+    Y = BlochEffect(1.0, (-0.48854061871877535, 0.4847616313635831, 0.7254889555462535))
+    assert is_coexistent(X, Y) == is_coexistent(Y, X)

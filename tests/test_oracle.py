@@ -1,6 +1,8 @@
-"""Disk-system geometry, exact feasibility, gamma scans, agreement sweeps."""
+"""Disk-system geometry, exact feasibility, gamma scans, the closed-form optimum, agreement sweeps."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from qcoex.oracle import (
     oracle_coexistent,
     oracle_scan,
 )
+from qcoex.optimum import closed_form_optimum
 from qcoex.selftest import random_effect, random_effect_pair, suite_oracle_agreement
 from qcoex.tolerance import BOUNDARY_TOL, CONVEXITY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL
 from qcoex.witness import gamma_interval_2ci
@@ -279,6 +282,14 @@ def near_boundary_pairs(n: int) -> list[RelativePair]:
     return [relative_pair(BlochEffect(*c.A), BlochEffect(*c.B))[0] for c in cases]
 
 
+def non_coexistent_pairs() -> list[RelativePair]:
+    """The pairs of criterion_3_pairs(1000) and near_boundary_pairs(48) that classify finds not coexistent
+    (the oracle agrees on all of them), and those of the oracle corpus whose recorded scan found so."""
+    pairs = [p for p in criterion_3_pairs(1000) + near_boundary_pairs(48) if not classify(p).coexistent]
+    records = json.loads((Path(__file__).parent / "data" / "oracle_corpus.json").read_text())
+    return pairs + [RelativePair(*(float(v) for v in r["pair"])) for r in records if not r["result"]["coexistent"]]
+
+
 def full_profile(p: RelativePair, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The profile at every gamma, in kernel calls of 1024 gammas (each column is computed alone)."""
     profile = _Profile(p)
@@ -511,14 +522,14 @@ class TestOracleScan:
         kernel = _minimax
         monkeypatch.setattr("qcoex.oracle._minimax", counting)
         sets = [
-            ([RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)], 4, 103),
+            ([RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)], 1, 33),
             ([THIN], 8, 305),
-            (criterion_3_pairs(200), 7, 344),
+            (criterion_3_pairs(200), 6, 344),
             # the single gamma 0, and every grid gamma feasible: edges at a
             # sampled 0 or gmax take no search
             ([ZERO], 1, 1),
             ([WHOLE], 3, 92),
-            (near_boundary_pairs(48), 10, 578),
+            (near_boundary_pairs(48), 9, 578),
         ]
         for pairs, calls, cols in sets:
             for p in pairs:
@@ -527,6 +538,12 @@ class TestOracleScan:
                 assert (res.kernel_calls, res.columns) == (len(columns), sum(columns))
                 assert res.kernel_calls <= calls
                 assert res.columns <= cols
+        # the closed-form optimum settles every non-coexistent scan after the
+        # grid search's first step
+        for p in non_coexistent_pairs():
+            columns.clear()
+            res = oracle_scan(p)
+            assert (res.kernel_calls, res.columns, len(columns), sum(columns)) == (1, 33, 1, 33)
 
     def test_feasible_gamma_set_is_interval(self):
         rng = np.random.default_rng(29)
@@ -567,6 +584,51 @@ class TestOracleScan:
     def test_trivial_zero_effect(self):
         res = oracle_scan(RelativePair(0.0, 0.0, 0.9, 0.3, 0.0))
         assert res.coexistent
+
+
+def violations(p: RelativePair, gamma: float, point) -> list[float]:
+    """The four disks' violations at (gamma, point)."""
+    x, y = point
+    return [math.hypot(x - cx, y - cy) - r for (cx, cy), r in zip(_centers(p).tolist(), _radii(p, gamma).tolist())]
+
+
+class TestClosedFormOptimum:
+    def test_weights_and_bound_on_non_coexistent_pairs(self):
+        # the weights are positive, sum to 1 and balance the gamma
+        # gradients; the dual bound is at most the largest violation, and
+        # the four violations are equal at the optimum.  Each holds to
+        # roundoff, as the weights and unit vectors are rounded: the bound
+        # passes the violation by up to 1.4e-16 here
+        pairs = non_coexistent_pairs()
+        assert len(pairs) == 6 + 27 + 61
+        for p in pairs:
+            opt = closed_form_optimum(p)
+            assert opt is not None, p
+            l0, l1, l2, l3 = opt.weights
+            assert min(opt.weights) > 0.0
+            assert abs(math.fsum(opt.weights) - 1.0) <= 1e-15
+            assert abs(l0 - l1 - l2 + l3) <= 1e-15
+            assert opt.bound <= opt.violation + 1e-15
+            h = violations(p, opt.gamma, opt.point)
+            assert max(h) - min(h) <= 1e-15
+            assert 0.0 <= opt.gamma <= min(p.alpha, p.beta)
+
+    def test_orthogonal_projections(self):
+        # alpha = beta = 1: both hyperbolas are bisectors, crossing at the
+        # centre of the unit square, where every disk has radius 1/2
+        opt = closed_form_optimum(RelativePair(1.0, 1.0, 1.0, 0.0, 1.0))
+        assert (opt.gamma, opt.point, opt.weights) == (0.5, (0.5, 0.5), (0.25, 0.25, 0.25, 0.25))
+        assert opt.violation == pytest.approx((math.sqrt(2.0) - 1.0) / 2.0, abs=1e-16)
+        assert opt.bound == pytest.approx(opt.violation, abs=1e-15)
+
+    def test_never_certifies_a_coexistent_pair(self):
+        pairs = [p for p in criterion_3_pairs(1000) if classify(p).coexistent]
+        pairs += DEGENERATE + [ZERO, WHOLE, FROM_ZERO, TO_GMAX, THIN, LATE]
+        assert len(pairs) == 994 + 10
+        for p in pairs:
+            assert classify(p).coexistent
+            opt = closed_form_optimum(p)
+            assert opt is None or opt.bound <= BOUNDARY_TOL, p
 
 
 # near-boundary oracle pair 66 of seed 1: nearly parallel, with a small by
