@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .bloch import RelativePair
 
-__all__ = ["Optimum", "closed_form_optimum"]
+__all__ = ["Optimum", "closed_form_optimum", "violation_at"]
 
 # d h_i / d gamma: the radii of disks 0 and 3 grow with gamma, 1 and 2 shrink
 _SLOPES = (-1.0, 1.0, 1.0, -1.0)
@@ -85,18 +85,38 @@ def _det(u: tuple, v: tuple, w: tuple) -> float:
     return u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0]) + u[2] * (v[0] * w[1] - v[1] * w[0])
 
 
+def violation_at(p: RelativePair, gx: float, gy: float) -> tuple[float, float, tuple[float, float, float, float]]:
+    """The largest of the four violations at point g and its best gamma, that gamma, and the distances |g - c_i|.
+
+    At gamma = (P - M) / 2 the violations whose radius grows with gamma fall
+    to P - gamma and the others rise to M + gamma, which meet at (P + M) / 2.
+    Where that is at most 0, every violation is, so the pair is coexistent
+    with that gamma, and the gamma lies in [0, min(alpha, beta)]: h_0 <= 0
+    gives gamma >= |g|, h_1 <= 0 and h_2 <= 0 give gamma <= alpha and beta.
+    """
+    alpha, a, beta, bx, by = p
+    e0 = math.hypot(gx, gy)
+    e1 = math.hypot(gx - a, gy)
+    e2 = math.hypot(gx - bx, gy - by)
+    e3 = math.hypot(gx - (a + bx), gy - by)
+    h1, h2, h3 = e1 - alpha, e2 - beta, e3 - (2.0 - alpha - beta)
+    gamma = (max(e0, h3) - max(h1, h2)) / 2.0
+    return max(e0 - gamma, h1 + gamma, h2 + gamma, h3 - gamma), gamma, (e0, e1, e2, e3)
+
+
 def closed_form_optimum(p: RelativePair) -> Optimum | None:
     """The crossing of the two hyperbolas with the least largest violation, and its dual bound.
 
     The crossings lie on at most two lines through the common centre
     (_crossing_lines), and a line x = t v meets a hyperbola where
     t^2 v^T Q v = rho, which each hyperbola is asked in turn.  At each point
-    found, gamma = (P - M) / 2, and the point with the lowest largest
-    violation there is kept.  The weights are the null vector of the 3x4
-    matrix of the violations' gradients in (g, gamma), (u_i, -s_i), scaled
-    to sum 1.  Returns None when no crossing exists, the point sits on a
-    center, or a weight is not positive: the pair's optimum is then not of
-    this kind.  Nothing here checks gamma against [0, min(alpha, beta)].
+    found, gamma = (P - M) / 2 (violation_at), and the first point with the
+    lowest largest violation there is kept.  The weights are the null vector
+    of the 3x4 matrix of the violations' gradients in (g, gamma), (u_i,
+    -s_i), scaled to sum 1.  Returns None when no crossing exists, the point
+    sits on a center, or a weight is not positive: the pair's optimum is
+    then not of this kind.  Nothing here checks gamma against [0, min(alpha,
+    beta)].
     """
     alpha, a, beta, bx, by = p
     centers = ((0.0, 0.0), (a, 0.0), (bx, by), (a + bx, by))
@@ -107,23 +127,20 @@ def closed_form_optimum(p: RelativePair) -> Optimum | None:
         dd = delta * delta
         hyperbolas.append((dx, dy, dd, dx * dx + dy * dy - dd))
 
-    def at(gx: float, gy: float) -> tuple:
-        """The largest violation at g at its best gamma, that gamma, g and the four distances."""
-        e = [math.hypot(gx - cx, gy - cy) for cx, cy in centers]
-        gamma = (max(e[0] - k[0], e[3] - k[3]) - max(e[1] - k[1], e[2] - k[2])) / 2.0
-        return max(d - ki + w * gamma for d, ki, w in zip(e, k, _SLOPES)), gamma, (gx, gy), e
-
-    found = []
+    best = None
     for vx, vy in _crossing_lines(*hyperbolas):
         for dx, dy, dd, s in hyperbolas:
             vd = vx * dx + vy * dy
             n = vd * vd - dd * (vx * vx + vy * vy)
             if n != 0.0 and (t2 := dd * s / 4.0 / n) >= 0.0:
                 t = math.sqrt(t2)
-                found += [at(mx + t * vx, my + t * vy), at(mx - t * vx, my - t * vy)]
-    if not found:
+                for g in ((mx + t * vx, my + t * vy), (mx - t * vx, my - t * vy)):
+                    found = violation_at(p, *g)
+                    if best is None or found[0] < best[0]:
+                        best = (*found, g)
+    if best is None:
         return None
-    value, gamma, g, e = min(found, key=lambda f: f[0])
+    value, gamma, e, g = best
     if 0.0 in e:
         return None
     u = [((g[0] - cx) / d, (g[1] - cy) / d) for (cx, cy), d in zip(centers, e)]

@@ -9,14 +9,16 @@ three violations are equal, and only these candidates are built.  One
 array kernel (_minimax) evaluates that test for many gammas of a pair at
 once: ``oracle_scan`` runs its searches for the profile minimum and the
 feasible interval's edges in one loop of shared kernel calls, and
-``disks_feasible(pair, gamma)`` asks it about one gamma.  A pair whose
-first kernel call finds no feasible gamma is offered to the closed-form
-optimum and its dual bound (``optimum.closed_form_optimum``), which settle
-a non-coexistent pair without further calls.  The kernel's
-per-pair constants (_geometry) are formed on Python floats and the kernel
-itself makes elementwise array operations only, so no BLAS kernel, which
-numpy picks for the host at run time, decides a bit of a scan.  The oracle
-shares no formulas with the closed-form classification.
+``disks_feasible(pair, gamma)`` asks it about one gamma.  Before any
+kernel call, two points taken at their best gamma may prove a pair
+coexistent; every other pair is offered to the closed-form optimum and its
+dual bound (``optimum.closed_form_optimum``), which settle a non-coexistent
+pair with no kernel call at all and start the search of a barely feasible
+one at the optimum's gamma.  The kernel's per-pair constants (_geometry)
+are formed on Python floats and the kernel itself makes elementwise array
+operations only, so no BLAS kernel, which numpy picks for the host at run
+time, decides a bit of a scan.  The oracle shares no formulas with the
+closed-form classification.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import BlochEffect, RelativePair, _add_square, relative_pair
-from .optimum import closed_form_optimum
+from .optimum import closed_form_optimum, violation_at
 from .tolerance import BOUNDARY_TOL, CONVEXITY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL
 
 __all__ = [
@@ -390,7 +392,8 @@ class OracleResult(NamedTuple):
     feasible gamma interval are present when coexistent.  ``kernel_calls``
     and ``columns`` are the work done: minimax kernel calls and the gammas
     they evaluated.  A call that several searches share counts once, with
-    the columns of all of them.
+    the columns of all of them.  Both are 0 when the closed-form optimum
+    settles the scan.
     """
 
     coexistent: bool
@@ -401,6 +404,47 @@ class OracleResult(NamedTuple):
     gamma_hi: float | None = None
     kernel_calls: int = 0
     columns: int = 0
+
+
+def _proves_coexistence(p: RelativePair) -> bool:
+    """Whether the product point (beta a + alpha b) / 2 or the hyperbolas' centre (a + b) / 2 has every violation <= 0.
+
+    Each point is taken at its best gamma (optimum.violation_at), which
+    then lies in [0, min(alpha, beta)], so either proves the pair coexistent.
+    """
+    alpha, a, beta, bx, by = p
+    product = violation_at(p, (beta * a + alpha * bx) / 2.0, alpha * by / 2.0)[0]
+    return product <= 0.0 or violation_at(p, (a + bx) / 2.0, by / 2.0)[0] <= 0.0
+
+
+def _warm_start(profile: _Profile, gammas: np.ndarray, grid: _Search, g: float) -> tuple | None:
+    """The grid minimum and the refined one from a certified feasible optimum at gamma g, after the grid's first step.
+
+    One kernel call takes g and its two grid neighbours.  The profile is
+    convex and its minimum sits at g, so the lower neighbour's value is the
+    grid minimum, and it becomes ``grid.found``; when neither neighbour is
+    feasible, g's own value and point stand for the ``MINIMUM_TOL``
+    refinement, returned as a done search.  Returns that search (or
+    ``grid``) with the positions and values of every sample so far, sorted,
+    from which the edge brackets are taken; or None, leaving ``grid`` as it
+    was, when none of the three samples is feasible.
+    """
+    last = gammas.size - 1
+    j = int(np.searchsorted(gammas, g))
+    lo, hi = max(j - 1, 0), min(j, last)
+    at = np.array([gammas[lo], g, gammas[hi]])
+    values, points = profile(at)
+    if not (values <= BOUNDARY_TOL).any():
+        return None
+    b = 2 if values[2] < values[0] else 0
+    grid.found = lo if b == 0 else hi, values[b], points[b]
+    minimum = grid
+    if values[b] > BOUNDARY_TOL:
+        minimum = _Search(g, g, 0.0, MINIMUM_TOL)
+        minimum.found = g, values[1], points[1]
+    x = np.concatenate([gammas[grid.at], at])
+    order = np.argsort(x, kind="stable")
+    return minimum, x[order], np.concatenate([grid.values, values])[order]
 
 
 def oracle_scan(p: RelativePair) -> OracleResult:
@@ -420,61 +464,80 @@ def oracle_scan(p: RelativePair) -> OracleResult:
     feasible, a bracket search around the grid minimum refines it to
     ``MINIMUM_TOL`` and catches intervals thinner than the grid step.
 
-    Before that, a pair whose first step samples no feasible gamma is
-    offered to the closed-form optimum (``optimum.closed_form_optimum``),
-    the point where all four violations are equal.  Its weights' dual bound
-    is a lower bound on the largest violation at every (g, gamma), so when
-    it exceeds ``BOUNDARY_TOL`` the pair is not coexistent.  When also the
-    point's gamma lies in [0, gmax] and its largest violation is within
-    ``MINIMUM_TOL`` of the bound, as the refined minimum would be, the scan
-    returns that violation as the margin, after that one kernel call.
-    Every other pair takes the searches, and gets the results it got
-    without the certificate, bit for bit.
+    Before any kernel call, the scan evaluates two points at their best
+    gamma (_proves_coexistence).  A pair for which neither proves
+    coexistence is offered to the closed-form optimum
+    (``optimum.closed_form_optimum``), the point where all four violations
+    are equal.  Its weights' dual bound is a lower bound on the largest
+    violation at every (g, gamma).  The optimum is certified when its
+    gamma lies in [0, gmax] and its largest violation is within
+    ``MINIMUM_TOL`` of the bound, as the refined minimum would be.  A
+    certified optimum whose bound exceeds ``BOUNDARY_TOL`` settles the
+    pair as not coexistent, with its violation as the margin and no kernel
+    call.  A certified optimum that is feasible warm-starts a scan whose
+    first step samples no feasible gamma (_warm_start): one call at the
+    optimum's gamma and its grid neighbours replaces the rest of the grid
+    search and the refinement.
 
-    The first step of either minimum search that samples a feasible gamma
-    settles the verdict.  Each interval edge then lies between the step's
-    outermost feasible sample and the infeasible sample beyond it, and an
-    edge search closes on it to ``ENDPOINT_TOL``.  Where that feasible
-    sample ends the step's bracket, it is the edge, taken without a search:
-    no gamma lies beyond the first step's bracket [0, gmax], and the cuts
-    of earlier steps, where no sample was feasible, rule out feasible
-    gammas beyond a later step's.  The scan is one loop: every step puts the
-    samples of all searches still running, the minimum's and the edges',
-    into one kernel call, and the kernel's columns are independent, so each
-    search takes the path it takes alone.
-    Returns the smallest profile value found (or the certified optimum's
+    The first step of either minimum search that samples a feasible gamma,
+    or the warm start, settles the verdict.  Each interval edge then lies
+    between the outermost feasible sample and the infeasible sample beyond
+    it, and an edge search closes on it to ``ENDPOINT_TOL``.  Where that
+    feasible sample ends the step's bracket, it is the edge, taken without
+    a search: no gamma lies beyond the first step's bracket [0, gmax], and
+    the cuts of earlier steps, where no sample was feasible, rule out
+    feasible gammas beyond a later step's.  The scan is one loop: every
+    step puts the samples of all searches still running, the minimum's and
+    the edges', into one kernel call, and the kernel's columns are
+    independent, so each search takes the path it takes alone.
+    Returns the smallest profile value found (or the settling optimum's
     largest violation) as the margin and, when it is feasible, its gamma,
     the minimax point of the same kernel evaluation (the certificate) and
     the interval edges, with the work done.
     """
     gmax = min(p.alpha, p.beta)
+    warm = None
+    if not _proves_coexistence(p):
+        o = closed_form_optimum(p)
+        if o is not None and o.violation - o.bound <= MINIMUM_TOL and 0.0 <= o.gamma <= gmax:
+            if o.bound > BOUNDARY_TOL:
+                return OracleResult(False, o.violation)
+            if o.violation <= BOUNDARY_TOL:
+                warm = o.gamma
     gammas = np.linspace(0.0, gmax, GRID_STEPS + 1) if gmax > 0.0 else np.array([0.0])
     last = gammas.size - 1
     profile = _Profile(p)
     grid = minimum = _Search(0, last, 0.0, _CELLS, gammas)
+    _step(profile, [grid])
+    x, values = None, grid.values
+    if warm is not None and not (values <= BOUNDARY_TOL).any():
+        started = _warm_start(profile, gammas, grid, warm)
+        if started is not None:
+            minimum, x, values = started
     searches, edges = [grid], None
-    while running := [s for s in searches if s.found is None]:
-        _step(profile, running)
+    while True:
         # the first feasible samples: the outermost ones and the infeasible
         # ones beyond them bracket the edges
-        if edges is None and (inside := np.flatnonzero(minimum.values <= BOUNDARY_TOL)).size:
-            x = (gammas[minimum.at] if minimum is grid else minimum.at).tolist()
+        if edges is None and (inside := np.flatnonzero(values <= BOUNDARY_TOL)).size:
+            if x is None:
+                x = gammas[minimum.at] if minimum is grid else minimum.at
+            x = x.tolist()
             j0, j1 = inside[[0, -1]].tolist()
             edges = [
                 x[j0] if j0 == 0 else _Search(x[j0 - 1], x[j0], 1.0, ENDPOINT_TOL),
                 x[j1] if j1 == len(x) - 1 else _Search(x[j1], x[j1 + 1], -1.0, ENDPOINT_TOL),
             ]
             searches += [e for e in edges if isinstance(e, _Search)]
-        # no gamma of the first step feasible: the closed-form optimum settles
-        # the scan when its dual bound is infeasible and it lies in the range
-        elif profile.calls == 1 and (o := closed_form_optimum(p)) is not None:
-            if o.bound > BOUNDARY_TOL and o.violation - o.bound <= MINIMUM_TOL and 0.0 <= o.gamma <= gmax:
-                return OracleResult(False, o.violation, kernel_calls=profile.calls, columns=profile.columns)
         # no grid gamma feasible: refine the grid minimum between its neighbours
         if minimum is grid and grid.found is not None and grid.found[1] > BOUNDARY_TOL and last > 0:
             k = grid.found[0]
             minimum = _Search(gammas[max(k - 1, 0)], gammas[min(k + 1, last)], 0.0, MINIMUM_TOL)
             searches.append(minimum)
+        if not (running := [s for s in searches if s.found is None]):
+            break
+        _step(profile, running)
+        if edges is None:
+            values = minimum.values
 
     k, margin, point = grid.found
     margin, g_best, point = float(margin), float(gammas[k]), tuple(point.tolist())

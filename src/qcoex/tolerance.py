@@ -54,12 +54,13 @@ PSD_TOL = 1e-9
 ENDPOINT_TOL = 1e-10
 
 # Oracle search: bracket width at which the violation profile's minimum is
-# taken as found, when no grid gamma is feasible.  The refinement runs only
-# for a pair that the closed-form optimum's certificate does not settle
-# (optimum.py); the certificate settles it only when the optimum's largest
-# violation is within this of its dual bound, and as every radius has slope
-# +-1 in gamma, a minimum refined to this width is within this of the true
-# one too.  Gamma units (length units for the certificate).
+# taken as found, when no grid gamma is feasible.  The closed-form optimum
+# (optimum.py) is certified when its largest violation is within this of
+# its dual bound, as every radius has slope +-1 in gamma and a minimum
+# refined to this width is within this of the true one too.  A certified
+# optimum settles a non-coexistent pair, and a feasible one stands in for
+# the refinement, so the refinement runs only for a pair whose optimum is
+# not certified.  Gamma units (length units for the certificate).
 MINIMUM_TOL = 1e-13
 
 # Oracle search: how far a computed violation profile value may sit from a

@@ -2,11 +2,12 @@
 
 The decision, the witness and their checks run on Python floats, so
 ``import qcoex``, ``decide``, ``decide --witness``, ``witness`` and
-``sharpness`` of a Bloch spec never import numpy, nor does the oracle's
-closed-form optimum (``qcoex.optimum``).  The oracle, the boundary
-curve and matrix inputs make arrays and load it when first used.  The
-records are named tuples, so no path imports ``dataclasses``, and the
-numpy-free paths do not import ``inspect`` (numpy itself does).
+``sharpness`` of a Bloch spec never import numpy, nor do the oracle's
+closed-form optimum and its point evaluation (``qcoex.optimum``).  The
+oracle, the boundary curve and matrix inputs make arrays and load it when
+first used.  The records are named tuples, so no path imports
+``dataclasses``, and the numpy-free paths do not import ``inspect`` (numpy
+itself does).
 """
 
 import os
@@ -54,8 +55,9 @@ def test_decision_and_witness_paths_do_not_load_numpy():
         f"assert main(['decide', {PROJ_Z!r}, {PROJ_Y!r}, '--witness']) == 1",
         f"assert main(['witness', {A!r}, {B!r}]) == 0",
         f"assert main(['sharpness', {A!r}]) == 0",
-        "from qcoex.optimum import closed_form_optimum",
+        "from qcoex.optimum import closed_form_optimum, violation_at",
         "assert closed_form_optimum(qcoex.RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)) is not None",
+        "assert violation_at(qcoex.RelativePair(1.0, 1.0, 1.0, 0.0, 1.0), 0.5, 0.5)[1] == 0.5",
     ]
     assert loaded_after(statements) == [set()] * len(statements)
 

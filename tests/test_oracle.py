@@ -19,16 +19,18 @@ from qcoex.oracle import (
     _geometry,
     _minimax,
     _Profile,
+    _proves_coexistence,
     _radii,
     _Search,
     _secant_bound,
     _step,
     _STEPS,
+    _warm_start,
     disks_feasible,
     oracle_coexistent,
     oracle_scan,
 )
-from qcoex.optimum import closed_form_optimum
+from qcoex.optimum import closed_form_optimum, violation_at
 from qcoex.selftest import random_effect, random_effect_pair, suite_oracle_agreement
 from qcoex.tolerance import BOUNDARY_TOL, CONVEXITY_TOL, DEGENERATE_TOL, ENDPOINT_TOL, MINIMUM_TOL
 from qcoex.witness import gamma_interval_2ci
@@ -347,6 +349,16 @@ WHOLE = RelativePair(0.5, 0.1, 0.8, 0.0, 0.1)
 # a zero effect: the gamma range is the single point 0
 ZERO = RelativePair(0.0, 0.0, 0.9, 0.3, 0.0)
 
+# not coexistent, with a closed-form optimum 2.7e-13 and 1.5e-13 above its
+# dual bound: one effect nearly zero, the other nearly sharp
+UNCERTIFIED = [
+    RelativePair(
+        3.212341574232447e-05, 2.369085624276298e-05, 0.9999987910011157, -0.22454177937174266, 0.974462674386313
+    ),
+    RelativePair(
+        0.9999999993083988, 0.9999999990120138, 6.226963643995997e-05, 1.3871190416054062e-05, 6.0700729875580145e-05
+    ),
+]
 
 class TestOracleScan:
     def test_c1_pair_feasible(self):
@@ -385,7 +397,7 @@ class TestOracleScan:
         pairs.append(RelativePair(0.6, 0.5, 1.0, 0.0, by_max(0.6, 0.5, 1.0, 0.0)))
         pairs.append(THIN)
         # no grid gamma of the last pair is feasible: its certificate comes
-        # from the bracket search
+        # from the kernel call at its closed-form optimum's gamma
         assert full_profile(THIN, np.linspace(0.0, 0.6, 10_001))[0].min() > BOUNDARY_TOL
 
         def refuse(*args, **kwargs):
@@ -522,14 +534,13 @@ class TestOracleScan:
         kernel = _minimax
         monkeypatch.setattr("qcoex.oracle._minimax", counting)
         sets = [
-            ([RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)], 1, 33),
-            ([THIN], 8, 305),
+            ([THIN], 4, 170),
             (criterion_3_pairs(200), 6, 344),
             # the single gamma 0, and every grid gamma feasible: edges at a
             # sampled 0 or gmax take no search
             ([ZERO], 1, 1),
             ([WHOLE], 3, 92),
-            (near_boundary_pairs(48), 9, 578),
+            (near_boundary_pairs(48), 8, 578),
         ]
         for pairs, calls, cols in sets:
             for p in pairs:
@@ -538,12 +549,92 @@ class TestOracleScan:
                 assert (res.kernel_calls, res.columns) == (len(columns), sum(columns))
                 assert res.kernel_calls <= calls
                 assert res.columns <= cols
-        # the closed-form optimum settles every non-coexistent scan after the
-        # grid search's first step
-        for p in non_coexistent_pairs():
+        # the closed-form optimum settles every non-coexistent scan before
+        # any kernel call
+        pairs = non_coexistent_pairs() + [RelativePair(1.0, 1.0, 1.0, 0.0, 1.0)]
+        for p in pairs:
             columns.clear()
             res = oracle_scan(p)
-            assert (res.kernel_calls, res.columns, len(columns), sum(columns)) == (1, 33, 1, 33)
+            assert (res.kernel_calls, res.columns, len(columns)) == (0, 0, 0)
+
+    def test_probe_feasible_pairs_skip_the_closed_form(self, monkeypatch):
+        # a point whose four violations are all <= 0 at its best gamma proves
+        # the pair coexistent, and such a scan goes to the kernel search
+        # without the closed-form optimum
+        records = json.loads((Path(__file__).parent / "data" / "oracle_corpus.json").read_text())
+        pairs = criterion_3_pairs(1000) + near_boundary_pairs(48)
+        pairs += [RelativePair(*(float(v) for v in r["pair"])) for r in records]
+        probed = [p for p in pairs if _proves_coexistence(p)]
+        assert len(probed) == 924 + 0 + 248
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan computed the closed-form optimum")
+
+        monkeypatch.setattr("qcoex.oracle.closed_form_optimum", refuse)
+        for p in probed:
+            assert oracle_scan(p).coexistent, p
+
+    def test_warm_start_from_a_certified_feasible_optimum(self, monkeypatch):
+        # a pair whose first step samples no feasible gamma while its
+        # closed-form optimum is certified feasible takes one kernel call at
+        # the optimum's gamma and its grid neighbours.  The margin is the
+        # full grid's minimum or, when no grid gamma is feasible, within
+        # 1e-15 of the minimum refined by plain multisection; every edge is
+        # feasible, ENDPOINT_TOL beyond it is not (within the range), and
+        # the certificate lies in every disk
+        warm = []
+
+        def recording(profile, gammas, grid, g):
+            started = start(profile, gammas, grid, g)
+            warm.append(started is not None)
+            return started
+
+        start = _warm_start
+        monkeypatch.setattr("qcoex.oracle._warm_start", recording)
+        started = []
+        for p in [THIN, LATE] + near_boundary_pairs(48):
+            warm.clear()
+            res = oracle_scan(p)
+            if warm:
+                assert warm == [True]
+                started.append((p, res))
+        monkeypatch.undo()
+        assert [p for p, _ in started[:2]] == [THIN, LATE] and len(started) == 2 + 16
+        for p, res in started:
+            assert res.coexistent
+            gmax = min(p.alpha, p.beta)
+            gammas = np.linspace(0.0, gmax, GRID_STEPS + 1)
+            full, _ = full_profile(p, gammas)
+            k = int(np.argmin(full))
+            margin = full[k]
+            if margin > BOUNDARY_TOL:
+                lo, hi = gammas[max(k - 1, 0)], gammas[min(k + 1, GRID_STEPS)]
+                margin = min(margin, multisection(_Profile(p), lo, hi, 1e-16)[1])
+            assert abs(res.margin - margin) <= 1e-15
+            for edge, outward in ((res.gamma_lo, -ENDPOINT_TOL), (res.gamma_hi, ENDPOINT_TOL)):
+                assert disks_feasible(p, edge) is not None
+                if 0.0 <= edge + outward <= gmax:
+                    assert disks_feasible(p, edge + outward) is None
+            assert res.gamma_lo <= res.gamma <= res.gamma_hi
+            assert res.point == disks_feasible(p, res.gamma)
+            assert reference.disk_excess(tuple(p), res.gamma, res.point) <= BOUNDARY_TOL
+
+    def test_uncertified_optimum_falls_back_to_the_refinement(self):
+        # a nearly sharp effect against a nearly zero one: the closed-form
+        # point's largest violation sits more than MINIMUM_TOL above its dual
+        # bound, so the scan searches the grid and refines its minimum, which
+        # lands within 1e-15 of a plain multisection's
+        for p in UNCERTIFIED:
+            opt = closed_form_optimum(p)
+            assert opt.violation - opt.bound > MINIMUM_TOL
+            res = oracle_scan(p)
+            assert not res.coexistent and res.kernel_calls > 1
+            gammas = np.linspace(0.0, min(p.alpha, p.beta), GRID_STEPS + 1)
+            full, _ = full_profile(p, gammas)
+            k = int(np.argmin(full))
+            refined = multisection(_Profile(p), gammas[max(k - 1, 0)], gammas[min(k + 1, GRID_STEPS)], 1e-16)[1]
+            assert abs(res.margin - min(full[k], refined)) <= 1e-15
+            assert res.margin >= opt.bound - 1e-15
 
     def test_feasible_gamma_set_is_interval(self):
         rng = np.random.default_rng(29)
@@ -620,6 +711,19 @@ class TestClosedFormOptimum:
         assert (opt.gamma, opt.point, opt.weights) == (0.5, (0.5, 0.5), (0.25, 0.25, 0.25, 0.25))
         assert opt.violation == pytest.approx((math.sqrt(2.0) - 1.0) / 2.0, abs=1e-16)
         assert opt.bound == pytest.approx(opt.violation, abs=1e-15)
+
+    def test_violation_at_a_point_is_balanced_in_gamma(self):
+        # at its gamma the largest growing-radius violation (disks 0, 3)
+        # equals the largest shrinking-radius one (disks 1, 2), so no other
+        # gamma lowers their maximum, which is the value returned
+        rng = np.random.default_rng(7)
+        for p in criterion_3_pairs(100):
+            gx, gy = rng.uniform(-1.0, 1.0, 2).tolist()
+            value, gamma, distances = violation_at(p, gx, gy)
+            h = violations(p, gamma, (gx, gy))
+            assert distances == tuple(math.hypot(gx - cx, gy - cy) for cx, cy in _centers(p).tolist())
+            assert abs(max(h[0], h[3]) - max(h[1], h[2])) <= 1e-15
+            assert abs(value - max(h)) <= 1e-15
 
     def test_never_certifies_a_coexistent_pair(self):
         pairs = [p for p in criterion_3_pairs(1000) if classify(p).coexistent]
