@@ -360,6 +360,7 @@ UNCERTIFIED = [
     ),
 ]
 
+
 class TestOracleScan:
     def test_c1_pair_feasible(self):
         p = RelativePair(0.6, 0.5, 0.6, 0.1, 0.4)
